@@ -31,7 +31,13 @@ from .perron import (
     estimate_p_infinity,
     normalized_trajectory,
 )
-from .spectral import SpectralData, eigenspace_equal, max_cycle_mean, spectral_data
+from .spectral import (
+    SpectralData,
+    _same_span,
+    eigenspace_equal,
+    max_cycle_mean,
+    spectral_data,
+)
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,7 @@ def eigenspace_preserving_perturbations(
     rng = random.Random(seed)
     budget = max_attempts if max_attempts is not None else 400 * count
     steps = int(magnitude / grid_step)
-    lam0 = max_cycle_mean(A)
+    sd0 = spectral_data(A)
     accepted: list[TropicalMatrix] = []
     for _ in range(budget):
         if len(accepted) >= count:
@@ -161,9 +167,9 @@ def eigenspace_preserving_perturbations(
         rows = [list(r) for r in A.entries]
         rows[i][j] = rows[i][j] + delta
         B = TropicalMatrix.from_rows(rows, A.semiring)
-        if max_cycle_mean(B) != lam0:
+        if max_cycle_mean(B) != sd0.lam:
             continue
-        if eigenspace_equal(A, B):
+        if _same_span(sd0.generators, spectral_data(B).generators):
             accepted.append(B)
     if len(accepted) < count:
         warnings.warn(

@@ -1,10 +1,13 @@
 """Exact tropical (max-plus / min-plus) arithmetic.
 
-Everything in this module is exact: scalars are `fractions.Fraction`, and no
-operation ever rounds.  Criticality of a cycle is a statement about exact
-ties, so the whole combinatorial layer must stay in rational arithmetic;
-floating point enters only in the numerical companion types at the bottom of
-the module.
+Everything in this module is exact and no operation ever rounds.  The API is
+rational: matrix entries, points and results are `fractions.Fraction`.  The
+kernels (Kleene star, Karp, Schur complement) run on plain Python `int`
+numerators over one common denominator, the lcm of the entries'
+denominators, which `_encode` builds and `_decode` turns back into
+fractions.  Criticality of a cycle is a statement about exact ties, so the
+whole combinatorial layer must stay exact; floating point enters only in the
+numerical companion types at the bottom of the module.
 """
 
 from __future__ import annotations
@@ -75,15 +78,15 @@ class TropicalMatrix:
     def negate(self) -> "TropicalMatrix":
         """Entrywise negation, switching the semiring tag (max-plus <-> min-plus)."""
         other = MIN_PLUS if self.semiring == MAX_PLUS else MAX_PLUS
-        return TropicalMatrix(
-            tuple(tuple(-x for x in row) for row in self.entries), other
-        )
+        nums, den = _encode(self.entries)
+        return TropicalMatrix(_decode([[-x for x in row] for row in nums], den), other)
 
     def shift(self, c) -> "TropicalMatrix":
         """Add c to every entry (the matrix A + c*J)."""
-        c = as_rational(c)
+        nums, den = _encode(self.entries + ((as_rational(c),),))
+        c = nums.pop()[0]
         return TropicalMatrix(
-            tuple(tuple(x + c for x in row) for row in self.entries), self.semiring
+            _decode([[x + c for x in row] for row in nums], den), self.semiring
         )
 
     def to_floats(self) -> list[list[float]]:
@@ -150,21 +153,35 @@ def scale_matrix(A: TropicalMatrix, k) -> TropicalMatrix:
     )
 
 
-def _find_bad_cycle(A: TropicalMatrix) -> tuple[int, ...]:
-    """Extract one divergence witness: a positive cycle (max-plus) or negative
-    cycle (min-plus), by Bellman-Ford predecessor walkback on the appropriate sign."""
-    n = A.n
-    sign = -1 if A.semiring == MAX_PLUS else 1  # relax on weights whose negative cycles diverge
-    w = [[sign * A.entries[i][j] for j in range(n)] for i in range(n)]
-    dist = [Fraction(0)] * n
+def _encode(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Integer numerators of the rows over their common denominator (the lcm)."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    den = math.lcm(*{d for row in ratios for _, d in row})
+    return [[p * (den // d) for p, d in row] for row in ratios], den
+
+
+def _decode(nums: Sequence[Sequence[int]], den: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Inverse of `_encode`: rows of fractions nums[i][j] / den."""
+    frac = {x: Fraction(x, den) for x in {x for row in nums for x in row}}
+    return tuple(tuple(map(frac.__getitem__, row)) for row in nums)
+
+
+def _find_bad_cycle(W: list[list[int]]) -> tuple[int, ...]:
+    """Extract one divergence witness: a positive cycle of the max-plus integer
+    matrix W, by Bellman-Ford predecessor walkback on -W."""
+    n = len(W)
+    w = [[-x for x in row] for row in W]  # relax on weights whose negative cycles diverge
+    dist = [0] * n
     pred = [-1] * n
     bad = -1
     for _ in range(n):
         bad = -1
         for u in range(n):
+            wu = w[u]
             for v in range(n):
-                if dist[u] + w[u][v] < dist[v]:
-                    dist[v] = dist[u] + w[u][v]
+                d = dist[u] + wu[v]
+                if d < dist[v]:
+                    dist[v] = d
                     pred[v] = u
                     bad = v
         if bad < 0:
@@ -189,35 +206,36 @@ def _find_bad_cycle(A: TropicalMatrix) -> tuple[int, ...]:
 def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
     """S = I (+) A (+) A^2 (+) ... (path of length 0 handled structurally).
 
-    Entries are optimal path weights over paths of length 0..n.  Converges iff
-    the matrix has no positive cycle (max-plus) or no negative cycle (min-plus).
+    Entries are optimal path weights.  Converges iff the matrix has no
+    positive cycle (max-plus) or no negative cycle (min-plus).  One in-place
+    Floyd-Warshall pass on exact integer numerators over the entries' common
+    denominator; a min-plus matrix runs as the max-plus matrix -A.
     """
     n = A.n
     maximum = A.semiring == MAX_PLUS
-    S = [list(row) for row in A.entries]
-    # doubling closure: after ceil(log2 n)+1 rounds S covers all path lengths 1..n
-    rounds = max(1, math.ceil(math.log2(n)) + 1) if n > 1 else 1
-    for _ in range(rounds):
-        comb = max if maximum else min
-        T = [
-            [
-                comb(S[i][l] + S[l][j] for l in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        S = [[comb(S[i][j], T[i][j]) for j in range(n)] for i in range(n)]
+    W, den = _encode(A.entries)
+    if not maximum:
+        W = [[-x for x in row] for row in W]
+    S = [row[:] for row in W]
+    # In place: S[i][k] and S[k][j] hold in round k unless a positive cycle
+    # runs through k, and such a cycle leaves some S[i][i] > 0 either way.
+    for k in range(n):
+        Sk = S[k]
+        for i in range(n):
+            a = S[i][k]
+            S[i] = [x if x >= a + y else a + y for x, y in zip(S[i], Sk)]
     for i in range(n):
-        diverges = S[i][i] > 0 if maximum else S[i][i] < 0
-        if diverges:
-            cyc = _find_bad_cycle(A)
+        if S[i][i] > 0:
+            cyc = _find_bad_cycle(W)
             kind = "positive" if maximum else "negative"
             where = "->".join(map(str, cyc + cyc[:1])) if cyc else f"through node {i}"
             raise StarDivergenceError(
                 f"Kleene star diverges: {kind} cycle {where}", cyc
             )
-        S[i][i] = Fraction(0)  # identity term: the empty path
-    return TropicalMatrix(tuple(tuple(row) for row in S), A.semiring)
+        S[i][i] = 0  # identity term: the empty path
+    if not maximum:
+        S = [[-x for x in row] for row in S]
+    return TropicalMatrix(_decode(S, den), A.semiring)
 
 
 @dataclass(frozen=True)

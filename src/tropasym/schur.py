@@ -19,15 +19,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .core import (
     MIN_PLUS,
     ProjectivePoint,
     TropicalMatrix,
+    _decode,
+    _encode,
     in_span,
     kleene_star,
     normalize_projective,
-    trop_matmul,
 )
 from .perron import PinfEstimate
 from .spectral import spectral_data
@@ -55,19 +57,19 @@ def minplus_schur(A: TropicalMatrix, C: set[int] | frozenset[int]) -> TropicalMa
         tuple(tuple(A.entries[i][j] for j in Cs) for i in Cs), MIN_PLUS
     )
     star = kleene_star(Acc)  # raises StarDivergenceError on a negative cycle in C
+    num, den = _encode(A.entries + star.entries)  # one denominator for both
+    W, Cstar = num[:n], num[n:]
+    # (A_NC (x) C*) (x) A_CN: the best detour into C, through it, and out again
+    star_cols = list(zip(*Cstar))
+    out_cols = [[W[c][j] for c in Cs] for j in Ns]
     out = []
-    for a, i in enumerate(Ns):
-        row = []
-        for b, j in enumerate(Ns):
-            direct = A.entries[i][j]
-            via = min(
-                A.entries[i][Cs[p]] + star.entries[p][q] + A.entries[Cs[q]][j]
-                for p in range(len(Cs))
-                for q in range(len(Cs))
-            )
-            row.append(min(direct, via))
-        out.append(tuple(row))
-    return TropicalMatrix(tuple(out), MIN_PLUS)
+    for i in Ns:
+        into = [W[i][c] for c in Cs]
+        through = [min(map(add, into, col)) for col in star_cols]
+        out.append(
+            [min(W[i][j], min(map(add, through, col))) for j, col in zip(Ns, out_cols)]
+        )
+    return TropicalMatrix(_decode(out, den), MIN_PLUS)
 
 
 def min_cycle_mean(A: TropicalMatrix) -> Fraction:
@@ -100,8 +102,8 @@ def schur_sequence(B: TropicalMatrix) -> list[SchurLevel]:
     current = B
     node_map = tuple(range(B.n))
     while True:
-        lam = min_cycle_mean(current)
         sd = spectral_data(current.negate())  # min-plus critical structure of current
+        lam = -sd.lam
         classes_orig = tuple(
             tuple(node_map[i] for i in cls) for cls in sd.classes
         )

@@ -1,7 +1,7 @@
 """Max-plus spectral data: eigenvalue, critical graph, eigenspace generators.
 
 The tropical eigenvalue of a real square matrix is its maximum cycle mean.
-Karp's dynamic program computes it exactly in O(n^3) rational operations; a
+Karp's dynamic program computes it exactly in O(n^3) integer operations; a
 brute-force simple-cycle enumeration serves as an independent oracle for
 small sizes.  The eigenspace is generated by Kleene-star columns at critical
 nodes, one per strongly connected component of the critical graph.
@@ -13,12 +13,14 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .core import (
     MAX_PLUS,
     ProjectivePoint,
     TropicalMatrix,
+    _encode,
     as_rational,
     in_span,
     kleene_star,
@@ -37,37 +39,30 @@ def max_cycle_mean(A: TropicalMatrix) -> Fraction:
 
     D[m][v] is the maximum weight of a walk of exactly m edges from node 0 to
     v (None while unreachable; with all-finite entries only m=0 has Nones).
-    The eigenvalue is max_v min_m (D[n][v] - D[m][v]) / (n - m).
+    The eigenvalue is max_v min_m (D[n][v] - D[m][v]) / (n - m).  The table
+    holds integer numerators over the entries' common denominator, and the
+    ratios are compared by cross-multiplication.
     """
     _require_max_plus(A, "max_cycle_mean")
     n = A.n
-    D: list[list[Fraction | None]] = [[None] * n for _ in range(n + 1)]
-    D[0][0] = Fraction(0)
-    for m in range(1, n + 1):
-        for v in range(n):
-            best = None
-            for u in range(n):
-                if D[m - 1][u] is None:
-                    continue
-                cand = D[m - 1][u] + A.entries[u][v]
-                if best is None or cand > best:
-                    best = cand
-            D[m][v] = best
-    best_overall = None
+    W, den = _encode(A.entries)
+    cols = list(zip(*W))
+    D: list[list[int | None]] = [[0] + [None] * (n - 1), W[0]]
+    for _ in range(2, n + 1):
+        prev = D[-1]
+        D.append([max(map(add, prev, col)) for col in cols])
+    best = None  # (p, q): the mean p / (q * den), with q > 0
     for v in range(n):
-        if D[n][v] is None:
-            continue
         worst = None
         for m in range(n):
             if D[m][v] is None:
                 continue
-            ratio = (D[n][v] - D[m][v]) / (n - m)
-            if worst is None or ratio < worst:
-                worst = ratio
-        if worst is not None and (best_overall is None or worst > best_overall):
-            best_overall = worst
-    assert best_overall is not None
-    return best_overall
+            p, q = D[n][v] - D[m][v], n - m
+            if worst is None or p * worst[1] < worst[0] * q:
+                worst = (p, q)
+        if best is None or worst[0] * best[1] > best[0] * worst[1]:
+            best = worst
+    return Fraction(best[0], best[1] * den)
 
 
 def cycle_mean_oracle(A: TropicalMatrix) -> Fraction:
@@ -107,72 +102,39 @@ class SpectralData:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "SpectralData":
-        obj = json.loads(text)
-        classes = tuple(tuple(c) for c in obj["classes"])
-        nodes = frozenset(i for c in classes for i in c)
-        gens = tuple(
-            ProjectivePoint(tuple(as_rational(x) for x in g)) for g in obj["generators"]
-        )
-        return cls(as_rational(obj["lambda"]), nodes, frozenset(), classes, gens)
-
-
-def _sccs(nodes: Sequence[int], edges: set[tuple[int, int]]) -> list[tuple[int, ...]]:
-    adj = {u: set() for u in nodes}
-    for u, v in edges:
-        adj[u].add(v)
-
-    def reach(start: int) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
-
-    fwd = {u: reach(u) for u in nodes}
-    left = set(nodes)
-    out = []
-    for u in sorted(nodes):
-        if u not in left:
-            continue
-        comp = {v for v in left if v in fwd[u] and u in fwd[v]}
-        comp.add(u)
-        out.append(tuple(sorted(comp)))
-        left -= comp
-    return out
-
 
 def spectral_data(A: TropicalMatrix) -> SpectralData:
     """Eigenvalue, critical edges/nodes/classes, and deduplicated generators.
 
     An edge (i, j) is critical iff it lies on a zero-mean cycle of the
     lambda-normalized matrix, i.e. Abar_ij + S_ji = 0 with S the Kleene star.
-    Generators are star columns at one representative node per critical class,
-    deduplicated projectively.
+    Critical nodes i and j share a class (a strongly connected component of
+    the critical graph) iff S_ij + S_ji = 0.  Generators are star columns at
+    one representative node per critical class, deduplicated projectively.
     """
     _require_max_plus(A, "spectral_data")
     lam = max_cycle_mean(A)
     n = A.n
     Abar = A.shift(-lam)
     S = kleene_star(Abar)
-    edges = {
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if Abar.entries[i][j] + S.entries[j][i] == 0
-    }
+    num, _ = _encode(Abar.entries + S.entries)  # one denominator for both
+    W, T = num[:n], num[n:]
+    edges = {(i, j) for i in range(n) for j in range(n) if W[i][j] + T[j][i] == 0}
     nodes = sorted({u for e in edges for u in e})
-    classes = _sccs(nodes, edges)
+    classes: list[tuple[int, ...]] = []
+    placed: set[int] = set()
+    for u in nodes:
+        if u not in placed:
+            cls = tuple(v for v in nodes if T[u][v] + T[v][u] == 0)
+            placed.update(cls)
+            classes.append(cls)
     gens: list[ProjectivePoint] = []
+    seen: set[tuple[int, ...]] = set()
     for cls in classes:
-        g = normalize_projective(S.column(cls[0]))
-        if g not in gens:
-            gens.append(g)
+        key = tuple(T[i][cls[0]] - T[0][cls[0]] for i in range(n))
+        if key not in seen:
+            seen.add(key)
+            gens.append(normalize_projective(S.column(cls[0])))
     return SpectralData(
         lam=lam,
         critical_nodes=frozenset(nodes),
@@ -198,8 +160,11 @@ def eigenspace_equal(A: TropicalMatrix, B: TropicalMatrix) -> bool:
     """True iff the two eigenspaces coincide (mutual span membership of generators)."""
     if A.n != B.n:
         raise ValueError("dimension mismatch")
-    ga = spectral_data(A).generators
-    gb = spectral_data(B).generators
+    return _same_span(spectral_data(A).generators, spectral_data(B).generators)
+
+
+def _same_span(ga: Sequence[ProjectivePoint], gb: Sequence[ProjectivePoint]) -> bool:
+    """Mutual span membership of two generator sets."""
     return all(in_span(g, gb) for g in ga) and all(in_span(g, ga) for g in gb)
 
 

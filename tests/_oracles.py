@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to check the library's algorithms.
 
 These deliberately share no code with the implementations they check: the
-star oracle is a dynamic program over exact path lengths, and the Schur
-oracle is a Floyd-Warshall restricted to a given set of intermediate nodes.
+star oracle is a dynamic program over exact path lengths, the Schur oracle
+is a Floyd-Warshall restricted to a given set of intermediate nodes, and the
+component oracle is a graph search that never looks at edge weights.
 """
 
 from fractions import Fraction
@@ -52,3 +53,43 @@ def restricted_fw(A: TropicalMatrix, C) -> list[list[Fraction]]:
                 if cand < dist[i][j]:
                     dist[i][j] = cand
     return dist
+
+
+def strongly_connected_components(nodes, edges) -> list[tuple[int, ...]]:
+    """Kosaraju's two depth-first passes; sorted tuples, by smallest node."""
+    succ = {u: [] for u in nodes}
+    pred = {u: [] for u in nodes}
+    for u, v in edges:
+        succ[u].append(v)
+        pred[v].append(u)
+    finished, seen = [], set()
+    for root in sorted(nodes):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            u, rest = stack[-1]
+            for v in rest:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append((v, iter(succ[v])))
+                    break
+            else:
+                stack.pop()
+                finished.append(u)
+    comps, placed = [], set()
+    for root in reversed(finished):
+        if root in placed:
+            continue
+        placed.add(root)
+        comp, stack = [], [root]
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in pred[u]:
+                if v not in placed:
+                    placed.add(v)
+                    stack.append(v)
+        comps.append(tuple(sorted(comp)))
+    return sorted(comps)

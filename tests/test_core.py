@@ -36,7 +36,7 @@ def pp(*vals):
     return ProjectivePoint(tuple(F(v) for v in vals))
 
 
-rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
+rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 
 
 @st.composite
@@ -139,7 +139,21 @@ class TestKleeneStar:
             kleene_star(A)
 
     @settings(max_examples=30, deadline=None)
-    @given(matrices(nmin=2, nmax=4))
+    @given(st.sampled_from([MAX_PLUS, MIN_PLUS]).flatmap(lambda s: matrices(1, 6, s)))
+    def test_divergence_witness_is_a_bad_cycle(self, A):
+        maximum = A.semiring == MAX_PLUS
+        try:
+            kleene_star(A)
+        except StarDivergenceError as exc:
+            cyc = exc.cycle
+            assert cyc
+            weight = sum(A.entries[u][v] for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+            assert weight > 0 if maximum else weight < 0
+        else:
+            assert max_cycle_mean(A if maximum else A.negate()) <= 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(matrices(nmin=2, nmax=6))
     def test_star_axioms_and_oracle(self, A):
         lam = max_cycle_mean(A)
         Abar = A.shift(-lam)

@@ -17,6 +17,8 @@ from tropasym import (
     verify_eigenvector,
 )
 
+from _oracles import strongly_connected_components
+
 F = Fraction
 
 FIG4 = TropicalMatrix.from_rows([[0, -1, -1], [-4, 0, -1], [-1, -1, -4]])
@@ -112,6 +114,18 @@ class TestSpectralData:
                 cols = {normalize_projective(S.column(i)) for i in cls}
                 assert len(cols) == 1  # same class, projectively equal columns
                 assert verify_eigenvector(A, sd.lam, cols.pop())
+
+    def test_classes_are_sccs_of_the_critical_graph(self):
+        rng = random.Random(14)
+        for i in range(60):
+            hi = F(0) if i % 2 else F(2)  # lam = 0 with zero-weight cycles, or lam > 0
+            A = random_matrix(
+                2 + i % 8, grid_step=F(1, 1 + i % 3), entry_range=(F(-4), hi), seed=rng
+            )
+            sd = spectral_data(A)
+            assert sd.classes == tuple(
+                strongly_connected_components(sd.critical_nodes, sd.critical_edges)
+            )
 
     def test_every_generator_verifies(self):
         for A in (FIG4, FIG7, FIG8, CEX):
