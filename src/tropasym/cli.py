@@ -21,7 +21,6 @@ from .core import (
     MIN_PLUS,
     StarDivergenceError,
     TropicalMatrix,
-    span_distance,
 )
 from .perron import (
     EstimateError,
@@ -29,6 +28,7 @@ from .perron import (
     estimate_p_infinity,
     geometric_schedule,
     normalized_trajectory,
+    trajectory_csv,
 )
 from .plotting import render_eigenspace_svg
 from .schur import candidate_exponents, compare_prediction, report_to_json
@@ -103,48 +103,17 @@ def _emit(text: str, out: str | None):
 def cmd_spectrum(args) -> int:
     A = load_matrix(args)
     sd = spectral_data(A)
-    payload = {
-        "lambda": str(sd.lam),
-        "classes": [list(c) for c in sd.classes],
-        "generators": [[str(x) for x in g.coords] for g in sd.generators],
-    }
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps(sd.to_json_dict(), indent=2), args.out)
     return 0
-
-
-def _trajectory_csv(A: TropicalMatrix, traj, gens_float) -> str:
-    n = A.n
-    header = (
-        ["k", "lambda_k"]
-        + [f"coord_{i + 1}" for i in range(n)]
-        + ["residual", "iterations", "span_distance"]
-    )
-    rows = {}
-    for s in traj.samples:
-        dist = span_distance(list(s.point.coords), gens_float)
-        rows[s.k] = (
-            [repr(s.k), repr(s.log_rho_over_k)]
-            + [repr(c) for c in s.point.coords]
-            + [repr(s.residual), str(s.iterations), repr(dist)]
-        )
-    for f in traj.failures:
-        rows[f.k] = (
-            [repr(f.k), ""] + [""] * n + [repr(f.residual), str(f.iterations), ""]
-        )
-    lines = [",".join(header)]
-    for k in sorted(rows):
-        lines.append(",".join(rows[k]))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_perron(args) -> int:
     A = load_matrix(args)
-    sd = spectral_data(A)
-    gens_float = [g.to_floats() for g in sd.generators]
+    gens = [g.to_floats() for g in spectral_data(A).generators]
     traj = normalized_trajectory(
         A.to_floats(), _schedule(args), tol=args.tol, max_iter=args.max_iter
     )
-    csv_text = _trajectory_csv(A, traj, gens_float)
+    csv_text = trajectory_csv(traj, gens)
     if args.out:
         Path(args.out).write_text(csv_text)
     else:
@@ -239,8 +208,7 @@ def cmd_conjectures(args) -> int:
             solver_tol=args.tol, max_iter=args.max_iter, seed=args.seed,
         )
         c1_verdicts.append(v)
-        traj = normalized_trajectory(A.to_floats(), schedule, tol=args.tol, max_iter=args.max_iter)
-        record(A, sd, estimate_p_infinity(traj))
+        record(A, sd, v.estimates[0])
     report["conjecture1"] = {
         "count": len(c1_verdicts),
         "all_hold": all(v.holds for v in c1_verdicts),
@@ -263,8 +231,7 @@ def cmd_conjectures(args) -> int:
             solver_tol=args.tol, max_iter=args.max_iter, seed=args.seed,
         )
         c2_verdicts.append(v)
-        traj = normalized_trajectory(A.to_floats(), schedule, tol=args.tol, max_iter=args.max_iter)
-        record(A, spectral_data(A), estimate_p_infinity(traj))
+        record(A, spectral_data(A), v.estimates[0])
     report["conjecture2"] = {
         "count": len(c2_verdicts),
         "all_hold": all(v.holds for v in c2_verdicts),

@@ -34,7 +34,6 @@ from .perron import (
 from .spectral import (
     SpectralData,
     _same_span,
-    eigenspace_equal,
     max_cycle_mean,
     spectral_data,
 )
@@ -49,9 +48,12 @@ class TranslationChain:
 
 @dataclass(frozen=True)
 class ConjectureVerdict:
+    """Outcome of one test; `estimates` are the measured limits, `A` first."""
+
     holds: bool
     witness: dict
     tolerance_used: float
+    estimates: tuple[PinfEstimate, ...]
     seed: int | None = None
 
 
@@ -80,17 +82,17 @@ def translation_chain(gens: Sequence[ProjectivePoint]) -> TranslationChain | Non
     )
 
 
-def _estimate(A: TropicalMatrix, schedule, tol, max_iter) -> PinfEstimate:
+def _estimate(A: TropicalMatrix, gens, schedule, tol, max_iter) -> PinfEstimate:
     """Estimate the limit, with the eigenspace-membership safety net.
 
-    Every measured limit must sit on the tropical eigenspace to within
-    10 * error_bound + 1e-3; a violation means the numerics went wrong and is
-    raised rather than silently folded into a verdict.
+    Every measured limit must sit on the tropical eigenspace spanned by `gens`
+    (A's generators) to within 10 * error_bound + 1e-3; a violation means the
+    numerics went wrong and is raised rather than silently folded into a
+    verdict.
     """
     traj = normalized_trajectory(A.to_floats(), schedule, tol=tol, max_iter=max_iter)
     est = estimate_p_infinity(traj)
-    gens = [g.to_floats() for g in spectral_data(A).generators]
-    dist = span_distance(list(est.point.coords), gens)
+    dist = span_distance(list(est.point.coords), [g.to_floats() for g in gens])
     if dist > 10.0 * est.error_bound + 1e-3:
         raise EstimateError(
             f"limit estimate is off the eigenspace by {dist:.3e} "
@@ -112,7 +114,7 @@ def conjecture1_test(
     chain = translation_chain(sd.generators)
     if chain is None:
         raise ValueError("eigenspace is not a translation chain")
-    est = _estimate(A, schedule, solver_tol, max_iter)
+    est = _estimate(A, sd.generators, schedule, solver_tol, max_iter)
     predicted = [float(x) for x in chain.predicted.coords]
     dist = max(abs(a - b) for a, b in zip(predicted, est.point.coords))
     return ConjectureVerdict(
@@ -125,6 +127,7 @@ def conjecture1_test(
             "error_bound": est.error_bound,
         },
         tolerance_used=tol,
+        estimates=(est,),
         seed=seed,
     )
 
@@ -188,11 +191,15 @@ def conjecture2_test(
     seed: int | None = None,
 ) -> ConjectureVerdict:
     """All members of an equal-eigenspace family must share one limit."""
-    for B in perturbed:
-        if not eigenspace_equal(A, B):
-            raise ValueError("perturbed matrix does not share the eigenspace")
     family = [A, *perturbed]
-    points = [list(_estimate(M, schedule, solver_tol, max_iter).point.coords) for M in family]
+    gens = [spectral_data(M).generators for M in family]
+    for g in gens[1:]:
+        if not _same_span(gens[0], g):
+            raise ValueError("perturbed matrix does not share the eigenspace")
+    estimates = tuple(
+        _estimate(M, g, schedule, solver_tol, max_iter) for M, g in zip(family, gens)
+    )
+    points = [list(est.point.coords) for est in estimates]
     worst = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
@@ -207,6 +214,7 @@ def conjecture2_test(
             "max_pairwise_distance": worst,
         },
         tolerance_used=tol,
+        estimates=estimates,
         seed=seed,
     )
 

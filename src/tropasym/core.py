@@ -12,7 +12,6 @@ numerical companion types at the bottom of the module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,8 +19,6 @@ from typing import Iterable, Sequence
 
 MAX_PLUS = "max-plus"
 MIN_PLUS = "min-plus"
-
-Rational = Fraction
 
 
 class StarDivergenceError(ValueError):
@@ -66,9 +63,6 @@ class TropicalMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
 
@@ -91,23 +85,6 @@ class TropicalMatrix:
 
     def to_floats(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self.entries]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "entries": [[str(x) for x in row] for row in self.entries],
-                "semiring": self.semiring,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TropicalMatrix":
-        obj = json.loads(text)
-        mat = cls.from_rows(obj["entries"], obj.get("semiring", MAX_PLUS))
-        if "n" in obj and obj["n"] != mat.n:
-            raise ValueError(f"declared size {obj['n']} does not match {mat.n} rows")
-        return mat
 
 
 def _combine(a: Fraction, b: Fraction, semiring: str) -> Fraction:

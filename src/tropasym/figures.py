@@ -71,9 +71,7 @@ def figure_report(
         caption_float = [float(x) for x in case.caption_pinf.coords]
         row = {
             "name": case.name,
-            "lambda": str(sd.lam),
-            "classes": [list(c) for c in sd.classes],
-            "generators": [[str(x) for x in g.coords] for g in sd.generators],
+            **sd.to_json_dict(),
             "caption_pinf": [str(x) for x in case.caption_pinf.coords],
             "estimated_pinf": list(est.point.coords),
             "error_bound": est.error_bound,

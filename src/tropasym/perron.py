@@ -29,14 +29,13 @@ eigenvalue to within r.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import FloatPoint, float_point
+from .core import FloatPoint, float_point, span_distance
 
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_ITER = 10**6
@@ -298,7 +297,6 @@ class FailedSample:
 @dataclass(frozen=True)
 class PerronTrajectory:
     samples: tuple[PerronSample, ...]
-    matrix_hash: str
     failures: tuple[FailedSample, ...] = ()
 
     def sample_at(self, k: float) -> PerronSample | None:
@@ -322,37 +320,32 @@ class PinfEstimate:
         }
 
 
-def matrix_digest(A) -> str:
-    M = _as_matrix(A)
-    text = ";".join(",".join(repr(x) for x in row) for row in M.tolist())
-    return hashlib.sha256(text.encode()).hexdigest()
+def trajectory_csv(traj: PerronTrajectory, gens: Sequence[Sequence[float]]) -> str:
+    """CSV serialization: k,lambda_k,coord_1..coord_n,residual,iterations,span_distance.
 
-
-def trajectory_csv(traj: PerronTrajectory) -> str:
-    """CSV serialization: k,lambda_k,coord_1..coord_n,residual,iterations.
-
+    `gens` are the float generators of the matrix's eigenspace; n is their
+    dimension and span_distance is each sample's distance to their span.
     Failed samples keep their k, residual, and iteration count but leave the
-    eigenvalue and coordinate cells empty.
+    eigenvalue, coordinate and distance cells empty.
     """
-    if traj.samples:
-        n = traj.samples[0].point.dim
-    elif traj.failures:
-        n = 0
-    else:
-        raise ValueError("empty trajectory")
-    header = ["k", "lambda_k"] + [f"coord_{i + 1}" for i in range(n)] + [
-        "residual",
-        "iterations",
-    ]
+    n = len(gens[0])
+    header = (
+        ["k", "lambda_k"]
+        + [f"coord_{i + 1}" for i in range(n)]
+        + ["residual", "iterations", "span_distance"]
+    )
     rows: dict[float, list[str]] = {}
     for s in traj.samples:
+        dist = span_distance(list(s.point.coords), gens)
         rows[s.k] = (
             [repr(s.k), repr(s.log_rho_over_k)]
             + [repr(c) for c in s.point.coords]
-            + [repr(s.residual), str(s.iterations)]
+            + [repr(s.residual), str(s.iterations), repr(dist)]
         )
     for f in traj.failures:
-        rows[f.k] = [repr(f.k), ""] + [""] * n + [repr(f.residual), str(f.iterations)]
+        rows[f.k] = (
+            [repr(f.k), ""] + [""] * n + [repr(f.residual), str(f.iterations), ""]
+        )
     lines = [",".join(header)]
     for k in sorted(rows):
         lines.append(",".join(rows[k]))
@@ -404,11 +397,7 @@ def normalized_trajectory(
             )
         else:
             failures.append(FailedSample(k=k, residual=res, iterations=it))
-    return PerronTrajectory(
-        samples=tuple(samples),
-        matrix_hash=matrix_digest(M),
-        failures=tuple(failures),
-    )
+    return PerronTrajectory(samples=tuple(samples), failures=tuple(failures))
 
 
 def _doubling_pairs(samples: Sequence[PerronSample]):

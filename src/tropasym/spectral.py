@@ -10,7 +10,6 @@ nodes, one per strongly connected component of the critical graph.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -93,14 +92,12 @@ class SpectralData:
     classes: tuple[tuple[int, ...], ...]
     generators: tuple[ProjectivePoint, ...]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lambda": str(self.lam),
-                "classes": [list(c) for c in self.classes],
-                "generators": [[str(x) for x in g.coords] for g in self.generators],
-            }
-        )
+    def to_json_dict(self) -> dict:
+        return {
+            "lambda": str(self.lam),
+            "classes": [list(c) for c in self.classes],
+            "generators": [[str(x) for x in g.coords] for g in self.generators],
+        }
 
 
 def spectral_data(A: TropicalMatrix) -> SpectralData:

@@ -42,6 +42,14 @@ class TestSpectrum:
         code, _, err = run(["spectrum", "--matrix", '[["0","1"]]'], capsys)
         assert code == 1
 
+    def test_size_mismatch(self, capsys):
+        code, _, err = run(
+            ["spectrum", "--matrix", '{"n": 3, "entries": [["0"]], "semiring": "max-plus"}'],
+            capsys,
+        )
+        assert code == 1
+        assert "declared size" in err
+
     def test_file_input(self, tmp_path, capsys):
         p = tmp_path / "m.json"
         p.write_text(FIG7)
@@ -191,6 +199,25 @@ class TestConjecturesCommand:
         assert report["conjecture1"]["all_hold"] is True
         assert report["conjecture2"]["all_hold"] is True
         assert report["dataset"]["rows"] >= 3
+
+    def test_each_tested_matrix_solved_once(self, tmp_path, monkeypatch, capsys):
+        import tropasym.cli
+        import tropasym.conjectures
+        from tropasym.perron import normalized_trajectory
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return normalized_trajectory(*args, **kwargs)
+
+        for module in (tropasym.cli, tropasym.conjectures):
+            monkeypatch.setattr(module, "normalized_trajectory", counting)
+        ds = tmp_path / "g.jsonl"
+        code, _, _ = run(self.ARGS + ["--seed", "42", "--dataset", str(ds)], capsys)
+        assert code == 0
+        # chains + families * (perturbations + 1) = 2 + 1 * (2 + 1)
+        assert len(calls) == 5
 
     def test_zero_counts(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # default dataset file lands here

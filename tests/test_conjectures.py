@@ -72,6 +72,8 @@ class TestConjecture1:
         v = conjecture1_test(FIG7, tol=1e-2, schedule=SCHEDULE)
         assert v.holds
         assert v.tolerance_used == 1e-2
+        assert len(v.estimates) == 1
+        assert list(v.estimates[0].point.coords) == v.witness["pinf"]
 
     def test_single_class_holds(self):
         A = TropicalMatrix.from_rows([[0, -3, -2], [1, 0, -1], [2, 1, 0]])
@@ -150,14 +152,23 @@ class TestConjecture2:
         v = conjecture2_test(FIG8, [FIG9], tol=1e-2, schedule=SCHEDULE)
         assert v.holds
         assert v.witness["max_pairwise_distance"] <= 1e-2
+        # one estimate per family member, A first, matching the witness
+        assert [list(e.point.coords) for e in v.estimates] == v.witness["pinf_points"]
+        assert v.estimates[0] == estimate_p_infinity(
+            normalized_trajectory(FIG8.to_floats(), SCHEDULE)
+        )
 
     def test_self_family_trivially_holds(self):
         v = conjecture2_test(FIG7, [FIG7], tol=1e-12, schedule=SCHEDULE)
         assert v.holds
 
     def test_precondition_rejected(self):
-        with pytest.raises(ValueError):
-            conjecture2_test(FIG7, [FIG4], tol=1e-2, schedule=SCHEDULE)
+        bigger = TropicalMatrix.from_rows(
+            [[0, 1, 3, -1], [-5, 0, 1, -2], [-6, -1, 0, -1], [-1, -1, -1, 0]]
+        )
+        for other in (FIG4, bigger):
+            with pytest.raises(ValueError):
+                conjecture2_test(FIG7, [other], tol=1e-2, schedule=SCHEDULE)
 
     def test_small_random_campaign(self):
         rng = random.Random(2024)

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -244,16 +243,6 @@ class TestScale:
 
 
 class TestJsonAndFloats:
-    def test_matrix_round_trip(self):
-        text = FIG7.to_json()
-        again = TropicalMatrix.from_json(text)
-        assert again == FIG7
-        assert json.loads(text)["semiring"] == MAX_PLUS
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            TropicalMatrix.from_json('{"n": 3, "entries": [["0"]], "semiring": "max-plus"}')
-
     def test_float_refused_in_exact_layer(self):
         with pytest.raises(TypeError):
             TropicalMatrix.from_rows([[0.5, 0], [0, 0]])

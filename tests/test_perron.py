@@ -128,12 +128,6 @@ class TestTrajectory:
         assert len(traj.samples) + len(traj.failures) == 2
         assert traj.failures  # impossible tolerance shows up as failures
 
-    def test_matrix_hash_distinguishes(self):
-        t1 = normalized_trajectory(FIG2, [4.0, 8.0])
-        t2 = normalized_trajectory(FIG3, [4.0, 8.0])
-        assert t1.matrix_hash != t2.matrix_hash
-        assert t1.matrix_hash == normalized_trajectory(FIG2, [4.0]).matrix_hash
-
     def test_scale_equivariance(self):
         c = 0.75
         shifted = [[x + c for x in row] for row in FIG2]
@@ -213,7 +207,7 @@ class TestFirstOrderFit:
 
     def test_degenerate_design(self):
         s = PerronSample(4.0, 0.0, float_point([0.0, 0.0]), 0.0, 1)
-        broken = PerronTrajectory(samples=(s, s, s), matrix_hash="x")
+        broken = PerronTrajectory(samples=(s, s, s))
         with pytest.raises(EstimateError):
             first_order_fit(broken)
 
@@ -221,15 +215,25 @@ class TestFirstOrderFit:
 def test_trajectory_csv_interface():
     from tropasym.perron import trajectory_csv
 
+    gens = [g.to_floats() for g in spectral_data(
+        TropicalMatrix.from_rows([[0, "-2.5", "-0.5"], [-1, 0, "-1.5"], [-1, -1, 0]])
+    ).generators]
+    header = "k,lambda_k,coord_1,coord_2,coord_3,residual,iterations,span_distance"
     traj = normalized_trajectory(FIG2, [4.0, 8.0, 16.0])
-    text = trajectory_csv(traj)
-    lines = text.splitlines()
-    assert lines[0] == "k,lambda_k,coord_1,coord_2,coord_3,residual,iterations"
+    lines = trajectory_csv(traj, gens).splitlines()
+    assert lines[0] == header
     assert len(lines) == 4
+    for line, s in zip(lines[1:], traj.samples):
+        assert float(line.split(",")[-1]) == span_distance(list(s.point.coords), gens)
     # failures keep k/residual/iterations but leave value cells empty
     broken = normalized_trajectory(FIG2, [4.0, 8.0], tol=1e-30, max_iter=50)
-    text = trajectory_csv(broken)
-    assert any(",," in line for line in text.splitlines()[1:])
+    assert not broken.samples
+    lines = trajectory_csv(broken, gens).splitlines()
+    assert lines[0] == header  # no sample to read n from: it comes from gens
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == 8
+        assert cells[1:5] == ["", "", "", ""] and cells[-1] == ""
 
 
 def test_oracle_agreement_invariant():
