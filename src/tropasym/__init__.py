@@ -13,7 +13,6 @@ from .core import (
     in_span_float,
     kleene_star,
     normalize_projective,
-    project_to_plane,
     scale_matrix,
     span_distance,
     trop_add,
@@ -37,7 +36,6 @@ from .perron import (
     PerronTrajectory,
     PinfEstimate,
     estimate_p_infinity,
-    first_order_fit,
     geometric_schedule,
     log_perron_eigenpair,
     normalized_trajectory,
@@ -51,7 +49,6 @@ from .schur import (
     SchurReport,
     candidate_exponents,
     compare_prediction,
-    min_cycle_mean,
     minplus_schur,
     schur_sequence,
 )

@@ -143,7 +143,8 @@ def eigenspace_preserving_perturbations(
     """Rejection-sample single-entry perturbations that leave the eigenspace alone.
 
     A perturbed matrix is accepted iff its eigenvalue and its generator set
-    both match the original exactly.  Deterministic given the seed; warns and
+    both match the original exactly.  A candidate drawn again is skipped, so
+    the members are distinct.  Deterministic given the seed; warns and
     returns fewer matrices when the attempt budget runs out.
     """
     if count < 1:
@@ -157,6 +158,7 @@ def eigenspace_preserving_perturbations(
     steps = int(magnitude / grid_step)
     sd0 = spectral_data(A)
     accepted: list[TropicalMatrix] = []
+    tried: set[TropicalMatrix] = set()
     for _ in range(budget):
         if len(accepted) >= count:
             break
@@ -170,6 +172,9 @@ def eigenspace_preserving_perturbations(
         rows = [list(r) for r in A.entries]
         rows[i][j] = rows[i][j] + delta
         B = TropicalMatrix.from_rows(rows, A.semiring)
+        if B in tried:
+            continue
+        tried.add(B)
         if max_cycle_mean(B) != sd0.lam:
             continue
         if _same_span(sd0.generators, spectral_data(B).generators):

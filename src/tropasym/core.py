@@ -1,13 +1,14 @@
 """Exact tropical (max-plus / min-plus) arithmetic.
 
-Everything in this module is exact and no operation ever rounds.  The API is
-rational: matrix entries, points and results are `fractions.Fraction`.  The
-kernels (Kleene star, Karp, Schur complement) run on plain Python `int`
-numerators over one common denominator, the lcm of the entries'
-denominators, which `_encode` builds and `_decode` turns back into
-fractions.  Criticality of a cycle is a statement about exact ties, so the
-whole combinatorial layer must stay exact; floating point enters only in the
-numerical companion types at the bottom of the module.
+Everything in this module is exact and no operation ever rounds.  A matrix
+is plain Python `int` numerators over one positive denominator, in lowest
+terms; `TropicalMatrix.from_rows` is the one place that encodes rationals
+into that form, and `entries` is its read-only `fractions.Fraction` view.
+The kernels (Kleene star, Karp, Schur complement) read the numerators
+directly; points and scalar results are `Fraction`s.  Criticality of a cycle
+is a statement about exact ties, so the whole combinatorial layer must stay
+exact; floating point enters only in the numerical companion types at the
+bottom of the module.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 MAX_PLUS = "max-plus"
@@ -42,49 +44,71 @@ def as_rational(value) -> Fraction:
 
 @dataclass(frozen=True)
 class TropicalMatrix:
-    """Square matrix over a tropical semiring, with exact rational entries."""
+    """Square matrix over a tropical semiring: entry (i, j) is nums[i][j] / den.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    The numerators and the positive denominator are kept in lowest terms
+    (gcd(den, *nums) == 1), so `==` and `hash` compare the rational entries.
+    """
+
+    nums: tuple[tuple[int, ...], ...]
+    den: int
     semiring: str = MAX_PLUS
 
     def __post_init__(self):
         if self.semiring not in (MAX_PLUS, MIN_PLUS):
             raise ValueError(f"unknown semiring tag {self.semiring!r}")
-        n = len(self.entries)
-        if n == 0 or any(len(row) != n for row in self.entries):
+        n = len(self.nums)
+        if n == 0 or any(len(row) != n for row in self.nums):
             raise ValueError("matrix must be square and non-empty")
+        if self.den <= 0:
+            raise ValueError("denominator must be positive")
+        g = math.gcd(self.den, *(x for row in self.nums for x in row))
+        if g != 1:
+            nums = tuple(tuple(x // g for x in row) for row in self.nums)
+            object.__setattr__(self, "nums", nums)
+            object.__setattr__(self, "den", self.den // g)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], semiring: str = MAX_PLUS) -> "TropicalMatrix":
-        ent = tuple(tuple(as_rational(x) for x in row) for row in rows)
-        return cls(ent, semiring)
+        """Encode rational rows as numerators over their common denominator (the lcm)."""
+        ratios = [[as_rational(x).as_integer_ratio() for x in row] for row in rows]
+        den = math.lcm(*{d for row in ratios for _, d in row})
+        nums = tuple(tuple(p * (den // d) for p, d in row) for row in ratios)
+        return cls(nums, den, semiring)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rational entries, nums[i][j] / den."""
+        frac = {x: Fraction(x, self.den) for x in {x for row in self.nums for x in row}}
+        return tuple(tuple(map(frac.__getitem__, row)) for row in self.nums)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.nums)
 
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "TropicalMatrix":
-        return TropicalMatrix(tuple(zip(*self.entries)), self.semiring)
+        return TropicalMatrix(tuple(zip(*self.nums)), self.den, self.semiring)
 
     def negate(self) -> "TropicalMatrix":
         """Entrywise negation, switching the semiring tag (max-plus <-> min-plus)."""
         other = MIN_PLUS if self.semiring == MAX_PLUS else MAX_PLUS
-        nums, den = _encode(self.entries)
-        return TropicalMatrix(_decode([[-x for x in row] for row in nums], den), other)
+        nums = tuple(tuple(-x for x in row) for row in self.nums)
+        return TropicalMatrix(nums, self.den, other)
 
     def shift(self, c) -> "TropicalMatrix":
         """Add c to every entry (the matrix A + c*J)."""
-        nums, den = _encode(self.entries + ((as_rational(c),),))
-        c = nums.pop()[0]
-        return TropicalMatrix(
-            _decode([[x + c for x in row] for row in nums], den), self.semiring
-        )
+        p, q = as_rational(c).as_integer_ratio()
+        den = math.lcm(self.den, q)
+        scale, add = den // self.den, p * (den // q)
+        nums = tuple(tuple(scale * x + add for x in row) for row in self.nums)
+        return TropicalMatrix(nums, den, self.semiring)
 
     def to_floats(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self.entries]
+        # int / int is correctly rounded, so this equals float(entries[i][j])
+        return [[x / self.den for x in row] for row in self.nums]
 
 
 def _combine(a: Fraction, b: Fraction, semiring: str) -> Fraction:
@@ -98,7 +122,7 @@ def trop_add(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
         tuple(_combine(x, y, A.semiring) for x, y in zip(ra, rb))
         for ra, rb in zip(A.entries, B.entries)
     )
-    return TropicalMatrix(ent, A.semiring)
+    return TropicalMatrix.from_rows(ent, A.semiring)
 
 
 def trop_matmul(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
@@ -110,7 +134,7 @@ def trop_matmul(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
         tuple(pick(A.entries[i][l] + B.entries[l][j] for l in range(n)) for j in range(n))
         for i in range(n)
     )
-    return TropicalMatrix(ent, A.semiring)
+    return TropicalMatrix.from_rows(ent, A.semiring)
 
 
 def _check_pair(A: TropicalMatrix, B: TropicalMatrix):
@@ -125,22 +149,10 @@ def scale_matrix(A: TropicalMatrix, k) -> TropicalMatrix:
     k = as_rational(k)
     if k <= 0:
         raise ValueError("scale factor must be positive")
+    p, q = k.as_integer_ratio()
     return TropicalMatrix(
-        tuple(tuple(k * x for x in row) for row in A.entries), A.semiring
+        tuple(tuple(p * x for x in row) for row in A.nums), q * A.den, A.semiring
     )
-
-
-def _encode(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Integer numerators of the rows over their common denominator (the lcm)."""
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    den = math.lcm(*{d for row in ratios for _, d in row})
-    return [[p * (den // d) for p, d in row] for row in ratios], den
-
-
-def _decode(nums: Sequence[Sequence[int]], den: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of `_encode`: rows of fractions nums[i][j] / den."""
-    frac = {x: Fraction(x, den) for x in {x for row in nums for x in row}}
-    return tuple(tuple(map(frac.__getitem__, row)) for row in nums)
 
 
 def _find_bad_cycle(W: list[list[int]]) -> tuple[int, ...]:
@@ -190,9 +202,7 @@ def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
     """
     n = A.n
     maximum = A.semiring == MAX_PLUS
-    W, den = _encode(A.entries)
-    if not maximum:
-        W = [[-x for x in row] for row in W]
+    W = [list(row) if maximum else [-x for x in row] for row in A.nums]
     S = [row[:] for row in W]
     # In place: S[i][k] and S[k][j] hold in round k unless a positive cycle
     # runs through k, and such a cycle leaves some S[i][i] > 0 either way.
@@ -212,7 +222,7 @@ def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
         S[i][i] = 0  # identity term: the empty path
     if not maximum:
         S = [[-x for x in row] for row in S]
-    return TropicalMatrix(_decode(S, den), A.semiring)
+    return TropicalMatrix(tuple(map(tuple, S)), A.den, A.semiring)
 
 
 @dataclass(frozen=True)
@@ -249,11 +259,6 @@ def normalize_projective(v: Iterable) -> ProjectivePoint:
     if not vals:
         raise ValueError("empty vector")
     return ProjectivePoint(tuple(x - vals[0] for x in vals))
-
-
-def project_to_plane(p: ProjectivePoint) -> tuple[Fraction, ...]:
-    """Drop the leading zero coordinate."""
-    return p.coords[1:]
 
 
 def trop_project_onto_span(x: ProjectivePoint, gens: Sequence[ProjectivePoint]) -> ProjectivePoint:

@@ -442,23 +442,3 @@ def estimate_p_infinity(traj: PerronTrajectory) -> PinfEstimate:
         error_bound=float(np.abs(pb - pa).max()),
         k_max_used=b.k,
     )
-
-
-def first_order_fit(traj: PerronTrajectory) -> tuple[FloatPoint, tuple[float, ...]]:
-    """Fit each coordinate of P_k to c_i + d_i / k over the tail half.
-
-    Returns (v, logw) with v = -c, matching the limit convention in which the
-    k-th sample behaves like (-v_i + log(w_i)/k) coordinatewise.
-    """
-    samples = traj.samples
-    if len(samples) < 3:
-        raise EstimateError("need at least three successful samples for the fit")
-    tail = samples[len(samples) // 2:]
-    ks = np.array([s.k for s in tail])
-    if np.ptp(ks) == 0:
-        raise EstimateError("degenerate fit: all k equal")
-    X = np.column_stack([np.ones_like(ks), 1.0 / ks])
-    Y = np.array([s.point.coords for s in tail])
-    coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    c, d = coef[0], coef[1]
-    return float_point(-c), tuple(float(x) for x in d)

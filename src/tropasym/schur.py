@@ -25,8 +25,6 @@ from .core import (
     MIN_PLUS,
     ProjectivePoint,
     TropicalMatrix,
-    _decode,
-    _encode,
     in_span,
     kleene_star,
     normalize_projective,
@@ -53,14 +51,12 @@ def minplus_schur(A: TropicalMatrix, C: set[int] | frozenset[int]) -> TropicalMa
         return A
     Ns = sorted(set(range(n)) - C)
     Cs = sorted(C)
-    Acc = TropicalMatrix(
-        tuple(tuple(A.entries[i][j] for j in Cs) for i in Cs), MIN_PLUS
-    )
+    W, den = A.nums, A.den
+    Acc = TropicalMatrix(tuple(tuple(W[i][j] for j in Cs) for i in Cs), den, MIN_PLUS)
     star = kleene_star(Acc)  # raises StarDivergenceError on a negative cycle in C
-    num, den = _encode(A.entries + star.entries)  # one denominator for both
-    W, Cstar = num[:n], num[n:]
+    f = den // star.den  # the star's denominator divides A's
     # (A_NC (x) C*) (x) A_CN: the best detour into C, through it, and out again
-    star_cols = list(zip(*Cstar))
+    star_cols = [[f * x for x in col] for col in zip(*star.nums)]
     out_cols = [[W[c][j] for c in Cs] for j in Ns]
     out = []
     for i in Ns:
@@ -69,15 +65,7 @@ def minplus_schur(A: TropicalMatrix, C: set[int] | frozenset[int]) -> TropicalMa
         out.append(
             [min(W[i][j], min(map(add, through, col))) for j, col in zip(Ns, out_cols)]
         )
-    return TropicalMatrix(_decode(out, den), MIN_PLUS)
-
-
-def min_cycle_mean(A: TropicalMatrix) -> Fraction:
-    """Minimum cycle mean of a min-plus matrix, via the max-plus computation on -A."""
-    _require_min_plus(A, "min_cycle_mean")
-    from .spectral import max_cycle_mean
-
-    return -max_cycle_mean(A.negate())
+    return TropicalMatrix(tuple(map(tuple, out)), den, MIN_PLUS)
 
 
 @dataclass(frozen=True)
@@ -162,7 +150,7 @@ def candidate_exponents(B: TropicalMatrix, normalization: str = "row") -> SchurR
             key = i if normalization == "row" else j
             row.append(B.entries[i][j] - removal_level[key])
         ent.append(tuple(row))
-    b_hat = TropicalMatrix(tuple(ent), MIN_PLUS)
+    b_hat = TropicalMatrix.from_rows(ent, MIN_PLUS)
     star = kleene_star(b_hat)  # StarDivergenceError names the offending cycle
     cands: list[Candidate] = []
     seen: set[ProjectivePoint] = set()

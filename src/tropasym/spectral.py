@@ -19,11 +19,9 @@ from .core import (
     MAX_PLUS,
     ProjectivePoint,
     TropicalMatrix,
-    _encode,
     as_rational,
     in_span,
     kleene_star,
-    normalize_projective,
     scale_matrix,
 )
 
@@ -39,12 +37,12 @@ def max_cycle_mean(A: TropicalMatrix) -> Fraction:
     D[m][v] is the maximum weight of a walk of exactly m edges from node 0 to
     v (None while unreachable; with all-finite entries only m=0 has Nones).
     The eigenvalue is max_v min_m (D[n][v] - D[m][v]) / (n - m).  The table
-    holds integer numerators over the entries' common denominator, and the
-    ratios are compared by cross-multiplication.
+    holds integer numerators over A's denominator, and the ratios are
+    compared by cross-multiplication.
     """
     _require_max_plus(A, "max_cycle_mean")
     n = A.n
-    W, den = _encode(A.entries)
+    W, den = A.nums, A.den
     cols = list(zip(*W))
     D: list[list[int | None]] = [[0] + [None] * (n - 1), W[0]]
     for _ in range(2, n + 1):
@@ -114,9 +112,11 @@ def spectral_data(A: TropicalMatrix) -> SpectralData:
     n = A.n
     Abar = A.shift(-lam)
     S = kleene_star(Abar)
-    num, _ = _encode(Abar.entries + S.entries)  # one denominator for both
-    W, T = num[:n], num[n:]
-    edges = {(i, j) for i in range(n) for j in range(n) if W[i][j] + T[j][i] == 0}
+    W, T = Abar.nums, S.nums
+    a, s = Abar.den, S.den  # Abar_ij + S_ji = 0, cross-multiplied
+    edges = {
+        (i, j) for i in range(n) for j in range(n) if W[i][j] * s + T[j][i] * a == 0
+    }
     nodes = sorted({u for e in edges for u in e})
     classes: list[tuple[int, ...]] = []
     placed: set[int] = set()
@@ -131,7 +131,7 @@ def spectral_data(A: TropicalMatrix) -> SpectralData:
         key = tuple(T[i][cls[0]] - T[0][cls[0]] for i in range(n))
         if key not in seen:
             seen.add(key)
-            gens.append(normalize_projective(S.column(cls[0])))
+            gens.append(ProjectivePoint(tuple(Fraction(x, s) for x in key)))
     return SpectralData(
         lam=lam,
         critical_nodes=frozenset(nodes),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -242,3 +243,61 @@ class TestSchurCommand:
         for cand in obj["candidates"]:
             assert cand["in_eigenspace"] is True
             assert cand["matches_pinf"] is False
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def pinned_outputs(tmp_path, capsys) -> dict[str, str]:
+    """Digests of fixed-seed CLI outputs that contain no float text."""
+    out = {}
+    for name, matrix in (("FIG2", FIG2), ("FIG7", FIG7), ("CEX", CEX)):
+        code, text, _ = run(["spectrum", "--matrix", matrix], capsys)
+        assert code == 0
+        out[f"spectrum {name}"] = _sha(text)
+        for norm in ("row", "column"):
+            code, text, _ = run(
+                ["schur", "--matrix", matrix, "--normalization", norm], capsys
+            )
+            assert code == 0
+            out[f"schur {norm} {name}"] = _sha(text)
+    ds = tmp_path / "pinned.jsonl"
+    code, text, _ = run(
+        ["conjectures", "--seed", "42", "--chains", "20", "--families", "5",
+         "--perturbations", "3", "--dataset", str(ds)],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(text)
+    report["dataset"]["path"] = "<dataset>"
+    out["conjectures report"] = _sha(json.dumps(report, indent=2))
+    rows = [json.loads(line) for line in ds.read_text().splitlines()]
+    exact = [{k: r[k] for k in ("matrix", "generators", "seed")} for r in rows]
+    out["conjectures dataset"] = _sha(json.dumps(exact))
+    return out
+
+
+class TestFixedSeedOutputs:
+    """Byte-level pins of the exact (rational and boolean) CLI outputs.
+
+    A changed digest means a report changed.  Float text is left out:
+    numpy's exp/log may differ in the last ulp between CPUs.
+    """
+
+    PINNED = {
+        "spectrum FIG2": "36a253c34051ce98",
+        "schur row FIG2": "f64fb8ea1cb04f0a",
+        "schur column FIG2": "f64fb8ea1cb04f0a",
+        "spectrum FIG7": "2425d122e48ea00a",
+        "schur row FIG7": "0b9e1784fe614d4c",
+        "schur column FIG7": "0b9e1784fe614d4c",
+        "spectrum CEX": "f85486630efa0ff5",
+        "schur row CEX": "b0f26282c7e3efc8",
+        "schur column CEX": "b0f26282c7e3efc8",
+        "conjectures report": "68fef7875211c8e3",
+        "conjectures dataset": "93ef3419f2a93b40",
+    }
+
+    def test_outputs_unchanged(self, tmp_path, capsys):
+        assert pinned_outputs(tmp_path, capsys) == self.PINNED

@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,17 @@ class TestPerturbations:
                 if B.entries[i][j] != FIG8.entries[i][j]
             ]
             assert len(diff) == 1  # single-entry perturbations only
+
+    def test_members_pairwise_distinct(self):
+        rng = random.Random(42)
+        for _ in range(20):
+            A = random_matrix(3, seed=rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a short family is fine here
+                perts = eigenspace_preserving_perturbations(
+                    A, count=3, magnitude=2, seed=rng.randrange(2**32)
+                )
+            assert len(set(perts)) == len(perts)
 
     def test_deterministic_given_seed(self):
         a = eigenspace_preserving_perturbations(FIG8, count=3, magnitude=2, seed=5)

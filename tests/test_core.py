@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,13 +15,13 @@ from tropasym import (
     in_span_float,
     kleene_star,
     normalize_projective,
-    project_to_plane,
     scale_matrix,
     span_distance,
     trop_add,
     trop_matmul,
     trop_project_onto_span,
 )
+from tropasym.schur import minplus_schur
 from tropasym.spectral import max_cycle_mean
 
 from _oracles import longest_path_table
@@ -45,6 +46,58 @@ def matrices(draw, nmin=2, nmax=4, semiring=MAX_PLUS):
         st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
     )
     return TropicalMatrix.from_rows(rows, semiring)
+
+
+def assert_canonical(M):
+    """Lowest terms, and equal to (and hashing like) its re-encoded entries."""
+    assert M.den > 0
+    assert math.gcd(M.den, *(x for row in M.nums for x in row)) == 1
+    again = TropicalMatrix.from_rows(M.entries, M.semiring)
+    assert M == again and hash(M) == hash(again)
+
+
+class TestRepresentation:
+    def test_spellings_of_one_half(self):
+        forms = [TropicalMatrix.from_rows([[x, 0], [0, x]]) for x in ("1/2", "2/4", F(1, 2))]
+        assert forms[0] == forms[1] == forms[2]
+        assert len({hash(M) for M in forms}) == 1
+        assert (forms[0].nums, forms[0].den) == (((1, 0), (0, 1)), 2)
+
+    def test_constructor_reduces(self):
+        M = TropicalMatrix(((2, 4), (-6, 0)), 4)
+        assert (M.nums, M.den) == (((1, 2), (-3, 0)), 2)
+        assert M == TropicalMatrix.from_rows([["1/2", 1], ["-3/2", 0]])
+
+    def test_nonpositive_denominator_rejected(self):
+        with pytest.raises(ValueError):
+            TropicalMatrix(((1,),), 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrices(nmin=1, nmax=5), rationals, st.integers(2, 6))
+    def test_views_and_round_trips(self, A, c, k):
+        assert_canonical(A)
+        unreduced = [
+            [f"{k * x.numerator}/{k * x.denominator}" for x in row] for row in A.entries
+        ]
+        B = TropicalMatrix.from_rows(unreduced, A.semiring)
+        assert B == A and hash(B) == hash(A)
+        assert A.negate().negate() == A
+        assert A.shift(c).shift(-c) == A
+        assert_canonical(A.shift(c))
+        floats = A.to_floats()
+        for i in range(A.n):
+            for j in range(A.n):
+                assert A.entries[i][j] == F(A.nums[i][j], A.den)
+                assert floats[i][j] == float(A.entries[i][j])
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrices(nmin=1, nmax=5))
+    def test_kernel_results_canonical(self, A):
+        Abar = A.shift(-max_cycle_mean(A))  # no positive cycle: both kernels converge
+        assert_canonical(kleene_star(Abar))
+        assert_canonical(kleene_star(Abar.negate()))
+        if A.n > 1:
+            assert_canonical(minplus_schur(Abar.negate(), {0}))
 
 
 class TestMatmul:
@@ -80,7 +133,7 @@ class TestMatmul:
         n = min(A.n, B.n, C.n)
 
         def cut(M):
-            return TropicalMatrix(tuple(r[:n] for r in M.entries[:n]), M.semiring)
+            return TropicalMatrix.from_rows([r[:n] for r in M.entries[:n]], M.semiring)
 
         A, B, C = cut(A), cut(B), cut(C)
         assert trop_matmul(trop_matmul(A, B), C) == trop_matmul(A, trop_matmul(B, C))
@@ -104,11 +157,6 @@ class TestNormalize:
     def test_shift_invariance(self, v, c):
         shifted = [x + c for x in v]
         assert normalize_projective(shifted) == normalize_projective(v)
-
-    def test_plane_projection(self):
-        assert project_to_plane(pp(0, -2, -1)) == (F(-2), F(-1))
-        assert project_to_plane(pp(0, 0, 0)) == (F(0), F(0))
-        assert project_to_plane(pp(0, 5)) == (F(5),)
 
 
 class TestKleeneStar:

@@ -8,12 +8,8 @@ from tropasym import (
     ConvergenceError,
     EstimateError,
     OracleError,
-    PerronSample,
-    PerronTrajectory,
     TropicalMatrix,
     estimate_p_infinity,
-    first_order_fit,
-    float_point,
     geometric_schedule,
     log_perron_eigenpair,
     normalized_trajectory,
@@ -178,38 +174,6 @@ class TestEstimate:
         ).generators]
         dist = span_distance(list(traj.samples[-1].point.coords), gens)
         assert dist <= 10 * est.error_bound + 1e-3
-
-
-class TestFirstOrderFit:
-    def test_symmetric(self):
-        traj = normalized_trajectory(SYM2, geometric_schedule(4.0, 4))
-        v, logw = first_order_fit(traj)
-        assert max(abs(c) for c in v.coords) < 1e-10
-        assert max(abs(c) for c in logw) < 1e-9
-
-    def test_scalar(self):
-        traj = normalized_trajectory([[0.4]], geometric_schedule(4.0, 4))
-        v, logw = first_order_fit(traj)
-        assert v.coords == (0.0,)
-        assert logw == (0.0,)
-
-    def test_consistent_with_richardson_on_figure2(self):
-        traj = normalized_trajectory(FIG2, geometric_schedule())
-        est = estimate_p_infinity(traj)
-        v, logw = first_order_fit(traj)
-        diff = np.abs(np.array(v.coords) + np.array(est.point.coords)).max()
-        assert diff < 5e-2
-
-    def test_too_few_samples(self):
-        traj = normalized_trajectory(FIG2, [4.0, 8.0])
-        with pytest.raises(EstimateError):
-            first_order_fit(traj)
-
-    def test_degenerate_design(self):
-        s = PerronSample(4.0, 0.0, float_point([0.0, 0.0]), 0.0, 1)
-        broken = PerronTrajectory(samples=(s, s, s))
-        with pytest.raises(EstimateError):
-            first_order_fit(broken)
 
 
 def test_trajectory_csv_interface():

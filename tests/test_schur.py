@@ -15,7 +15,6 @@ from tropasym import (
     estimate_p_infinity,
     geometric_schedule,
     in_span,
-    min_cycle_mean,
     minplus_schur,
     normalized_trajectory,
     random_matrix,
@@ -128,12 +127,6 @@ class TestSchurSequence:
             assert removed == set(range(5))
             sizes = [lv.matrix.n for lv in levels]
             assert all(b < a for a, b in zip(sizes, sizes[1:]))
-
-    def test_epsilon_substitution_eigenvalue(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            A = random_matrix(4, seed=rng)
-            assert min_cycle_mean(A.negate()) == -spectral_data(A).lam
 
 
 class TestCandidates:
