@@ -10,7 +10,6 @@ from .core import (
     as_rational,
     float_point,
     in_span,
-    in_span_float,
     kleene_star,
     normalize_projective,
     scale_matrix,

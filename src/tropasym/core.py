@@ -328,7 +328,3 @@ def span_distance(x: Sequence[float], gens: Sequence[Sequence[float]]) -> float:
     x0 = [xi - x[0] for xi in x]
     proj = project_onto_span_float(x0, gens)
     return max(abs(a - b) for a, b in zip(x0, proj))
-
-
-def in_span_float(x: Sequence[float], gens: Sequence[Sequence[float]], tol: float) -> bool:
-    return span_distance(x, gens) <= tol

@@ -2,15 +2,16 @@
 
 Points of a three-coordinate projective vector plot in the plane through
 their last two coordinates.  The eigenspace region is rasterized by testing
-span membership on a grid; exactness lives in the membership test, pixels
-are presentation.
+span membership on a grid, one grid row at a time in numpy.  Each cell's
+distance comes from the same float operations as `core.span_distance`, so
+its verdict at `REGION_TOL` is the one the scalar test gives.  Exactness
+lives in the membership test; pixels are presentation.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import numpy as np
 
-from .core import in_span_float
 from .perron import PerronTrajectory
 from .spectral import SpectralData
 
@@ -82,26 +83,33 @@ def render_eigenspace_svg(
         '<rect width="100%" height="100%" fill="white"/>',
         '<g fill="#9db8d9">',
     ]
-    # region cells, run-length merged per row to keep files small
+    # region cells, run-length merged per row to keep files small.  Each row
+    # repeats core.span_distance([0, x, y], gens) <= REGION_TOL elementwise:
+    # lam_j = min(0 - g_j0, x - g_j1, y - g_j2), proj_i = max_j(lam_j + g_ji),
+    # dist = max_i |p_i - (proj_i - proj_0)|, whose i = 0 term is exactly 0;
+    # temporaries are (grid, len(gens), 3)
+    g = np.array(gens)
+    xs = x_lo + np.arange(grid) * dx
+    lam_x = np.minimum(0.0 - g[:, 0], xs[:, None] - g[:, 1])  # same on every row
+    inside = np.zeros(grid + 2, dtype=bool)  # False pads close every run
     for iy in range(grid):
         y = y_lo + iy * dy
-        run_start = None
-        for ix in range(grid + 1):
-            inside = False
-            if ix < grid:
-                x = x_lo + ix * dx
-                inside = in_span_float([0.0, x, y], gens, REGION_TOL)
-            if inside and run_start is None:
-                run_start = ix
-            elif not inside and run_start is not None:
-                px0, py0 = to_px(x_lo + run_start * dx, y_lo + (iy + 1) * dy)
-                w = (ix - run_start) * dx * scale
-                h = dy * scale
-                parts.append(
-                    f'<rect x="{px0:.2f}" y="{py0:.2f}" '
-                    f'width="{w + 0.5:.2f}" height="{h + 0.5:.2f}"/>'
-                )
-                run_start = None
+        lam = np.minimum(lam_x, y - g[:, 2])
+        proj = (lam[:, :, None] + g).max(axis=1)
+        dist = np.maximum(
+            np.abs(xs - (proj[:, 1] - proj[:, 0])),
+            np.abs(y - (proj[:, 2] - proj[:, 0])),
+        )
+        inside[1:-1] = dist <= REGION_TOL
+        edges = np.flatnonzero(inside[1:] != inside[:-1]).tolist()
+        for start, stop in zip(edges[::2], edges[1::2]):
+            px0, py0 = to_px(x_lo + start * dx, y_lo + (iy + 1) * dy)
+            w = (stop - start) * dx * scale
+            h = dy * scale
+            parts.append(
+                f'<rect x="{px0:.2f}" y="{py0:.2f}" '
+                f'width="{w + 0.5:.2f}" height="{h + 0.5:.2f}"/>'
+            )
     parts.append("</g>")
     # trajectory: yellow to purple with growing k
     if tpts:

@@ -2,13 +2,14 @@
 
 These deliberately share no code with the implementations they check: the
 star oracle is a dynamic program over exact path lengths, the Schur oracle
-is a Floyd-Warshall restricted to a given set of intermediate nodes, and the
-component oracle is a graph search that never looks at edge weights.
+is a Floyd-Warshall restricted to a given set of intermediate nodes, the
+component oracle is a graph search that never looks at edge weights, and the
+raster oracle tests each plot cell on its own with the scalar span_distance.
 """
 
 from fractions import Fraction
 
-from tropasym import MAX_PLUS, MIN_PLUS, TropicalMatrix
+from tropasym import MAX_PLUS, MIN_PLUS, TropicalMatrix, span_distance
 
 
 def longest_path_table(A: TropicalMatrix) -> list[list[Fraction]]:
@@ -93,3 +94,37 @@ def strongly_connected_components(nodes, edges) -> list[tuple[int, ...]]:
                     stack.append(v)
         comps.append(tuple(sorted(comp)))
     return sorted(comps)
+
+
+def region_rects(gens, grid: int, tol: float, pad: float = 1.0) -> list[str]:
+    """The eigenspace region's <rect> lines of a plot without a trajectory.
+
+    One span_distance call per cell, runs merged along each row, on the
+    plot's 640-pixel canvas with its 40-pixel margin.
+    """
+    x_lo = min(g[1] for g in gens) - pad
+    x_hi = max(g[1] for g in gens) + pad
+    y_lo = min(g[2] for g in gens) - pad
+    y_hi = max(g[2] for g in gens) + pad
+    scale = (640.0 - 2 * 40.0) / max(x_hi - x_lo, y_hi - y_lo)
+    dx = (x_hi - x_lo) / grid
+    dy = (y_hi - y_lo) / grid
+    lines = []
+    for iy in range(grid):
+        y = y_lo + iy * dy
+        run_start = None
+        for ix in range(grid + 1):
+            inside = ix < grid and span_distance([0.0, x_lo + ix * dx, y], gens) <= tol
+            if inside and run_start is None:
+                run_start = ix
+            elif not inside and run_start is not None:
+                px0 = 40.0 + (x_lo + run_start * dx - x_lo) * scale
+                py0 = 640.0 - 40.0 - (y_lo + (iy + 1) * dy - y_lo) * scale
+                w = (ix - run_start) * dx * scale
+                h = dy * scale
+                lines.append(
+                    f'<rect x="{px0:.2f}" y="{py0:.2f}" '
+                    f'width="{w + 0.5:.2f}" height="{h + 0.5:.2f}"/>'
+                )
+                run_start = None
+    return lines

@@ -2,9 +2,12 @@ import hashlib
 import json
 import xml.etree.ElementTree as ET
 
+from tropasym import TropicalMatrix, spectral_data
 from tropasym.cli import main
+from tropasym.plotting import render_eigenspace_svg
 
 FIG2 = '[["0","-2.5","-0.5"],["-1","0","-1.5"],["-1","-1","0"]]'
+FIG6 = '[["0","-3","-2"],["1","0","-1"],["2","1","0"]]'
 FIG7 = '[["0","1","3"],["-5","0","1"],["-6","-1","0"]]'
 CEX = '[["0","-3","-4"],["-1","0","-2"],["-1","-1","0"]]'
 
@@ -153,10 +156,9 @@ class TestPlot:
 
     def test_single_generator_region_degenerates(self, tmp_path, capsys):
         # single critical class: the whole eigenspace is one projective point
-        fig6 = '[["0","-3","-2"],["1","0","-1"],["2","1","0"]]'
         out_path = tmp_path / "single.svg"
         code, _, _ = run(
-            ["plot", "--matrix", fig6, "--out", str(out_path), "--grid", "100",
+            ["plot", "--matrix", FIG6, "--out", str(out_path), "--grid", "100",
              "--doublings", "8"],
             capsys,
         )
@@ -250,7 +252,7 @@ def _sha(text: str) -> str:
 
 
 def pinned_outputs(tmp_path, capsys) -> dict[str, str]:
-    """Digests of fixed-seed CLI outputs that contain no float text."""
+    """Digests of fixed-seed CLI outputs that contain no float text, and of region SVGs."""
     out = {}
     for name, matrix in (("FIG2", FIG2), ("FIG7", FIG7), ("CEX", CEX)):
         code, text, _ = run(["spectrum", "--matrix", matrix], capsys)
@@ -262,6 +264,9 @@ def pinned_outputs(tmp_path, capsys) -> dict[str, str]:
             )
             assert code == 0
             out[f"schur {norm} {name}"] = _sha(text)
+    for name, matrix in (("FIG2", FIG2), ("FIG6", FIG6), ("FIG7", FIG7), ("CEX", CEX)):
+        sd = spectral_data(TropicalMatrix.from_rows(json.loads(matrix)))
+        out[f"region {name}"] = _sha(render_eigenspace_svg(sd, None, 160))
     ds = tmp_path / "pinned.jsonl"
     code, text, _ = run(
         ["conjectures", "--seed", "42", "--chains", "20", "--families", "5",
@@ -282,7 +287,9 @@ class TestFixedSeedOutputs:
     """Byte-level pins of the exact (rational and boolean) CLI outputs.
 
     A changed digest means a report changed.  Float text is left out:
-    numpy's exp/log may differ in the last ulp between CPUs.
+    numpy's exp/log may differ in the last ulp between CPUs.  The region-only
+    SVGs (no trajectory) are pinned: their coordinates come from rational
+    generators and correctly rounded float arithmetic, not from exp/log.
     """
 
     PINNED = {
@@ -297,6 +304,10 @@ class TestFixedSeedOutputs:
         "schur column CEX": "b0f26282c7e3efc8",
         "conjectures report": "68fef7875211c8e3",
         "conjectures dataset": "93ef3419f2a93b40",
+        "region FIG2": "70f916e1f82ca70a",
+        "region FIG6": "24f69c6f34367279",
+        "region FIG7": "31375aefca74ab6d",
+        "region CEX": "81cbb5241769d7e5",
     }
 
     def test_outputs_unchanged(self, tmp_path, capsys):

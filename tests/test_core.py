@@ -12,7 +12,6 @@ from tropasym import (
     StarDivergenceError,
     TropicalMatrix,
     in_span,
-    in_span_float,
     kleene_star,
     normalize_projective,
     scale_matrix,
@@ -298,5 +297,5 @@ class TestJsonAndFloats:
     def test_float_span_helpers(self):
         gens = [[0.0, -1.0, -1.0], [0.0, 3.0, 2.0], [0.0, 2.0, 4.0]]
         assert span_distance([0.0, 0.0, -1.0], gens) < 1e-15
-        assert in_span_float([0.0, 0.0, -1.0], gens, 1e-9)
-        assert not in_span_float([0.0, 4.0, 3.5], gens, 1e-9)
+        assert span_distance([0.0, 0.0, -1.0], gens) <= 1e-9
+        assert span_distance([0.0, 4.0, 3.5], gens) > 1e-9
