@@ -8,6 +8,7 @@ report is reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -246,7 +247,9 @@ def cmd_conjectures(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by later calls."""
     p = argparse.ArgumentParser(
         prog="trop-asym",
         description="Tropical spectral data and Perron eigenvector asymptotics of exp(kA)",

@@ -43,6 +43,9 @@ DEFAULT_MAX_ITER = 10**6
 # trajectory moves below this are indistinguishable from rounding noise
 _MOVE_NOISE = 1e-9
 
+# row block height of _log_matmul; 8 measured as fast as 16
+_LOG_MATMUL_ROWS = 16
+
 
 class PerronError(RuntimeError):
     pass
@@ -86,9 +89,26 @@ def _lse_rows(B: np.ndarray) -> np.ndarray:
 
 
 def _log_matmul(B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    T = B[:, :, None] + C[None, :, :]
-    m = T.max(axis=1)
-    return m + np.log(np.exp(T - m[:, None, :]).sum(axis=1))
+    """Log-domain matrix product: out_ij = logsumexp_l(B_il + C_lj).
+
+    Rows of B are reduced _LOG_MATMUL_ROWS at a time in one reused
+    (rows, l, j) buffer, so temporaries are O(rows*n^2) rather than O(n^3).
+    Each (i, j) still takes its max and its sum over l in the same order on
+    the same values as the one-tensor formulation, so results are
+    bit-identical to it.
+    """
+    rows = _LOG_MATMUL_ROWS
+    out = np.empty((B.shape[0], C.shape[1]))
+    buf = np.empty((min(B.shape[0], rows),) + C.shape)
+    for r0 in range(0, B.shape[0], rows):
+        Bb = B[r0 : r0 + rows]
+        T = buf[: len(Bb)]
+        np.add(Bb[:, :, None], C[None, :, :], out=T)
+        m = T.max(axis=1)
+        np.subtract(T, m[:, None, :], out=T)
+        np.exp(T, out=T)
+        out[r0 : r0 + rows] = m + np.log(T.sum(axis=1))
+    return out
 
 
 def _solve(kA: np.ndarray, k: float, tol: float, max_iter: int, y0: np.ndarray | None):
@@ -184,8 +204,8 @@ def log_perron_eigenpair(
     exception carries the last residual.
     """
     M = _as_matrix(A)
-    if not (k > 0):
-        raise ValueError("k must be positive")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError("k must be finite and positive")
     if not (tol > 0):
         raise ValueError("tol must be positive")
     y0 = None if start is None else np.asarray(list(start), dtype=float)
@@ -375,8 +395,10 @@ def normalized_trajectory(
     ks = [float(k) for k in k_schedule]
     if not ks:
         raise ValueError("schedule must be non-empty")
-    if any(b <= a for a, b in zip(ks, ks[1:])) or ks[0] <= 0:
-        raise ValueError("schedule must be positive and strictly increasing")
+    if not all(math.isfinite(k) and k > 0 for k in ks):
+        raise ValueError("schedule values must be finite and positive")
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("schedule must be strictly increasing")
     samples: list[PerronSample] = []
     failures: list[FailedSample] = []
     y = None

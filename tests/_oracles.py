@@ -3,11 +3,14 @@
 These deliberately share no code with the implementations they check: the
 star oracle is a dynamic program over exact path lengths, the Schur oracle
 is a Floyd-Warshall restricted to a given set of intermediate nodes, the
-component oracle is a graph search that never looks at edge weights, and the
-raster oracle tests each plot cell on its own with the scalar span_distance.
+component oracle is a graph search that never looks at edge weights, the
+raster oracle tests each plot cell on its own with the scalar span_distance,
+and the log-domain product oracle reduces one n^3 tensor at once.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from tropasym import MAX_PLUS, MIN_PLUS, TropicalMatrix, span_distance
 
@@ -128,3 +131,10 @@ def region_rects(gens, grid: int, tol: float, pad: float = 1.0) -> list[str]:
                 )
                 run_start = None
     return lines
+
+
+def log_matmul_oracle(B, C) -> np.ndarray:
+    """logsumexp_l(B_il + C_lj) for all (i, l, j) in one (rows, l, j) tensor."""
+    T = B[:, :, None] + C[None, :, :]
+    m = T.max(axis=1)
+    return m + np.log(np.exp(T - m[:, None, :]).sum(axis=1))

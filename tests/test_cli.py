@@ -99,6 +99,11 @@ class TestPerron:
             cells = line.split(",")
             assert abs(float(cells[2])) == 0.0 and abs(float(cells[3])) < 1e-12
 
+    def test_non_finite_k0_is_an_input_error(self, capsys):
+        code, _, err = run(["perron", "--matrix", FIG2, "--k0", "nan"], capsys)
+        assert code == 1
+        assert "finite" in err
+
 
 class TestFigures:
     def test_flags(self, capsys):

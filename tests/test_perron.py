@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from tropasym import (
     span_distance,
     spectral_data,
 )
+from tropasym import perron
+
+from _oracles import log_matmul_oracle
 
 FIG2 = [[0.0, -2.5, -0.5], [-1.0, 0.0, -1.5], [-1.0, -1.0, 0.0]]
 FIG3 = [[0.0, -6.0, -5.0], [-1.0, 0.0, -1.0], [-1.0, -2.0, 0.0]]
@@ -57,6 +61,11 @@ class TestEigenpair:
             log_perron_eigenpair([[float("nan"), 0], [0, 0]], 4.0)
         with pytest.raises(ValueError):
             log_perron_eigenpair([[0, 1], [1, 0], [0, 0]], 4.0)
+
+    def test_non_finite_k_rejected(self):
+        for k in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                log_perron_eigenpair(FIG2, k)
 
     def test_nonconvergence_reports_residual(self):
         with pytest.raises(ConvergenceError) as exc:
@@ -118,6 +127,9 @@ class TestTrajectory:
             normalized_trajectory(FIG2, [4.0, 4.0])
         with pytest.raises(ValueError):
             normalized_trajectory(FIG2, [-1.0, 2.0])
+        for bad in ([math.nan], [4.0, math.nan], [4.0, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                normalized_trajectory(FIG2, bad)
 
     def test_failures_recorded_not_fatal(self):
         traj = normalized_trajectory(FIG2, [4.0, 8.0], tol=1e-30, max_iter=50)
@@ -216,3 +228,72 @@ def test_oracle_agreement_invariant():
             assert np.abs(oracle_log_coords(x) - np.array(v.coords)).max() < 1e-8
             compared += 1
     assert compared >= 6
+
+
+def zero_diagonal(n: int, rng: np.random.Generator, values) -> np.ndarray:
+    A = rng.choice(values, size=(n, n))
+    np.fill_diagonal(A, 0.0)
+    return A
+
+
+class TestLogMatmul:
+    def test_matches_one_tensor_oracle(self):
+        # n below, at and past the row block height, and not a multiple of it
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 15, 16, 17, 33, 70):
+            B = rng.uniform(-40.0, 5.0, (n, n))
+            C = rng.uniform(-40.0, 5.0, (n, n))
+            assert np.array_equal(perron._log_matmul(B, C), log_matmul_oracle(B, C))
+            assert np.array_equal(perron._log_matmul(B, B), log_matmul_oracle(B, B))
+
+    def test_trajectory_bit_identical_under_oracle(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        half_grid = -0.5 * np.arange(1, 13)  # -1/2, -1, ..., -6
+        squarings = 0
+
+        def counting_oracle(B, C):
+            nonlocal squarings
+            squarings += 1
+            return log_matmul_oracle(B, C)
+
+        for n in (3, 24, 40):
+            A = zero_diagonal(n, rng, half_grid)
+            ks = geometric_schedule(4.0, 10)
+            blocked = normalized_trajectory(A, ks)
+            with monkeypatch.context() as m:
+                m.setattr(perron, "_log_matmul", counting_oracle)
+                reference = normalized_trajectory(A, ks)
+            assert blocked == reference
+        assert squarings > 0  # the accelerator ran
+
+    def test_temporaries_below_one_cube(self, monkeypatch):
+        # the one-tensor product peaks at three n^3 float64 tensors
+        n = 96
+        cube = n**3 * 8
+        A = zero_diagonal(n, np.random.default_rng(3), np.linspace(-6.0, -1.0, 51))
+        B = 4.0 * A
+        tracemalloc.start()
+        try:
+            perron._log_matmul(B, B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cube
+
+        squarings = 0
+        blocked = perron._log_matmul
+
+        def counting(B, C):
+            nonlocal squarings
+            squarings += 1
+            return blocked(B, C)
+
+        monkeypatch.setattr(perron, "_log_matmul", counting)
+        tracemalloc.start()
+        try:
+            traj = normalized_trajectory(A, geometric_schedule())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert squarings > 0 and not traj.failures
+        assert peak < cube
