@@ -37,6 +37,7 @@ from .perron import (
     estimate_p_infinity,
     geometric_schedule,
     log_perron_eigenpair,
+    normalized_trajectories,
     normalized_trajectory,
     perron_float_oracle,
     row_coupling_mass,
@@ -55,6 +56,7 @@ from .conjectures import (
     ConjectureVerdict,
     TranslationChain,
     conjecture1_test,
+    conjecture1_tests,
     conjecture2_test,
     eigenspace_preserving_perturbations,
     export_samples,

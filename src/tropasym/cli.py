@@ -194,9 +194,11 @@ def cmd_conjectures(args) -> int:
     def record(matrix, sd, est):
         dataset_rows.append((matrix, sd, est, args.seed))
 
-    c1_verdicts = []
+    # trajectories draw no randomness, so collecting the chain matrices
+    # before solving them consumes rng in the same order
+    chains = []
     attempts = 0
-    while len(c1_verdicts) < args.chains and attempts < args.max_attempts:
+    while len(chains) < args.chains and attempts < args.max_attempts:
         attempts += 1
         A = conj.random_matrix(3, grid_step=args.grid_step, seed=rng)
         sd = spectral_data(A)
@@ -204,11 +206,12 @@ def cmd_conjectures(args) -> int:
             continue
         if conj.translation_chain(sd.generators) is None:
             continue
-        v = conj.conjecture1_test(
-            A, tol=args.match_tol, schedule=schedule,
-            solver_tol=args.tol, max_iter=args.max_iter, seed=args.seed,
-        )
-        c1_verdicts.append(v)
+        chains.append((A, sd))
+    c1_verdicts = conj.conjecture1_tests(
+        [A for A, _ in chains], tol=args.match_tol, schedule=schedule,
+        solver_tol=args.tol, max_iter=args.max_iter, seed=args.seed,
+    )
+    for (A, sd), v in zip(chains, c1_verdicts):
         record(A, sd, v.estimates[0])
     report["conjecture1"] = {
         "count": len(c1_verdicts),

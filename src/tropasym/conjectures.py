@@ -10,6 +10,7 @@ a failing verdict is a result, carrying its witness for replay.
 from __future__ import annotations
 
 import json
+import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .perron import (
     EstimateError,
     PinfEstimate,
     estimate_p_infinity,
-    normalized_trajectory,
+    normalized_trajectories,
 )
 from .spectral import (
     SpectralData,
@@ -82,23 +83,29 @@ def translation_chain(gens: Sequence[ProjectivePoint]) -> TranslationChain | Non
     )
 
 
-def _estimate(A: TropicalMatrix, gens, schedule, tol, max_iter) -> PinfEstimate:
-    """Estimate the limit, with the eigenspace-membership safety net.
+def _estimates(family, gens, schedule, tol, max_iter) -> tuple[PinfEstimate, ...]:
+    """Estimate each member's limit, with the eigenspace-membership safety net.
 
-    Every measured limit must sit on the tropical eigenspace spanned by `gens`
-    (A's generators) to within 10 * error_bound + 1e-3; a violation means the
+    The members' trajectories are solved as one stack.  Every measured limit
+    must sit on the tropical eigenspace spanned by the member's generators
+    `gens[i]` to within 10 * error_bound + 1e-3; a violation means the
     numerics went wrong and is raised rather than silently folded into a
     verdict.
     """
-    traj = normalized_trajectory(A.to_floats(), schedule, tol=tol, max_iter=max_iter)
-    est = estimate_p_infinity(traj)
-    dist = span_distance(list(est.point.coords), [g.to_floats() for g in gens])
-    if dist > 10.0 * est.error_bound + 1e-3:
-        raise EstimateError(
-            f"limit estimate is off the eigenspace by {dist:.3e} "
-            f"(bound {10.0 * est.error_bound + 1e-3:.3e})"
-        )
-    return est
+    trajs = normalized_trajectories(
+        [M.to_floats() for M in family], schedule, tol=tol, max_iter=max_iter
+    )
+    estimates = []
+    for traj, g in zip(trajs, gens):
+        est = estimate_p_infinity(traj)
+        dist = span_distance(list(est.point.coords), [x.to_floats() for x in g])
+        if dist > 10.0 * est.error_bound + 1e-3:
+            raise EstimateError(
+                f"limit estimate is off the eigenspace by {dist:.3e} "
+                f"(bound {10.0 * est.error_bound + 1e-3:.3e})"
+            )
+        estimates.append(est)
+    return tuple(estimates)
 
 
 def conjecture1_test(
@@ -110,26 +117,49 @@ def conjecture1_test(
     seed: int | None = None,
 ) -> ConjectureVerdict:
     """Chain prediction vs measured limit; rejects matrices without a chain."""
-    sd = spectral_data(A)
-    chain = translation_chain(sd.generators)
-    if chain is None:
-        raise ValueError("eigenspace is not a translation chain")
-    est = _estimate(A, sd.generators, schedule, solver_tol, max_iter)
-    predicted = [float(x) for x in chain.predicted.coords]
-    dist = max(abs(a - b) for a, b in zip(predicted, est.point.coords))
-    return ConjectureVerdict(
-        holds=dist <= tol,
-        witness={
-            "matrix": [[str(x) for x in row] for row in A.entries],
-            "predicted": predicted,
-            "pinf": list(est.point.coords),
-            "distance": dist,
-            "error_bound": est.error_bound,
-        },
-        tolerance_used=tol,
-        estimates=(est,),
-        seed=seed,
-    )
+    return conjecture1_tests([A], tol, schedule, solver_tol, max_iter, seed)[0]
+
+
+def conjecture1_tests(
+    matrices: Sequence[TropicalMatrix],
+    tol: float,
+    schedule: Sequence[float],
+    solver_tol: float = 1e-13,
+    max_iter: int = 10**6,
+    seed: int | None = None,
+) -> list[ConjectureVerdict]:
+    """conjecture1_test of each same-size matrix, trajectories solved as one stack."""
+    if not matrices:
+        return []
+    gens, chains = [], []
+    for A in matrices:
+        sd = spectral_data(A)
+        chain = translation_chain(sd.generators)
+        if chain is None:
+            raise ValueError("eigenspace is not a translation chain")
+        gens.append(sd.generators)
+        chains.append(chain)
+    estimates = _estimates(matrices, gens, schedule, solver_tol, max_iter)
+    verdicts = []
+    for A, chain, est in zip(matrices, chains, estimates):
+        predicted = [float(x) for x in chain.predicted.coords]
+        dist = max(abs(a - b) for a, b in zip(predicted, est.point.coords))
+        verdicts.append(
+            ConjectureVerdict(
+                holds=dist <= tol,
+                witness={
+                    "matrix": [[str(x) for x in row] for row in A.entries],
+                    "predicted": predicted,
+                    "pinf": list(est.point.coords),
+                    "distance": dist,
+                    "error_bound": est.error_bound,
+                },
+                tolerance_used=tol,
+                estimates=(est,),
+                seed=seed,
+            )
+        )
+    return verdicts
 
 
 def eigenspace_preserving_perturbations(
@@ -201,9 +231,7 @@ def conjecture2_test(
     for g in gens[1:]:
         if not _same_span(gens[0], g):
             raise ValueError("perturbed matrix does not share the eigenspace")
-    estimates = tuple(
-        _estimate(M, g, schedule, solver_tol, max_iter) for M, g in zip(family, gens)
-    )
+    estimates = _estimates(family, gens, schedule, solver_tol, max_iter)
     points = [list(est.point.coords) for est in estimates]
     worst = 0.0
     for i in range(len(points)):
@@ -244,14 +272,15 @@ def random_matrix(
         raise ValueError("bad grid or range")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     cells = int((hi - lo) / grid_step)
-    rows = [
-        [
-            Fraction(0) if i == j else lo + grid_step * rng.randint(0, cells)
-            for j in range(n)
-        ]
+    # entry lo + grid_step * r as a numerator over the grid's denominator
+    den = math.lcm(lo.denominator, grid_step.denominator)
+    base = lo.numerator * (den // lo.denominator)
+    step = grid_step.numerator * (den // grid_step.denominator)
+    nums = tuple(
+        tuple(0 if i == j else base + step * rng.randint(0, cells) for j in range(n))
         for i in range(n)
-    ]
-    return TropicalMatrix.from_rows(rows, MAX_PLUS)
+    )
+    return TropicalMatrix(nums, den, MAX_PLUS)
 
 
 def export_samples(

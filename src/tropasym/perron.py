@@ -46,6 +46,13 @@ _MOVE_NOISE = 1e-9
 # row block height of _log_matmul; 8 measured as fast as 16
 _LOG_MATMUL_ROWS = 16
 
+_LOG2 = math.log(2.0)
+
+# the ufunc reductions behind ndarray.max and ndarray.sum, called without the
+# methods' Python wrappers, which cost about 1 us of a 16 us lazy step at n=3
+_max = np.maximum.reduce
+_sum = np.add.reduce
+
 
 class PerronError(RuntimeError):
     pass
@@ -84,8 +91,9 @@ def _as_matrix(A) -> np.ndarray:
 
 
 def _lse_rows(B: np.ndarray) -> np.ndarray:
-    m = B.max(axis=1, keepdims=True)
-    return m[:, 0] + np.log(np.exp(B - m).sum(axis=1))
+    """logsumexp over the last axis, for one matrix or a stack."""
+    m = _max(B, axis=-1, keepdims=True)
+    return m[..., 0] + np.log(_sum(np.exp(B - m), axis=-1))
 
 
 def _log_matmul(B: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -111,56 +119,101 @@ def _log_matmul(B: np.ndarray, C: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve(kA: np.ndarray, k: float, tol: float, max_iter: int, y0: np.ndarray | None):
-    """Core solver; returns (log_rho, y, residual, iterations, converged)."""
-    n = kA.shape[0]
-    if n == 1:
-        return float(kA[0, 0]), np.zeros(1), 0.0, 0, True
-    y = np.zeros(n) if y0 is None else np.array(y0, dtype=float)
+def _lazy_step(kA: np.ndarray, y: np.ndarray, k: float):
+    """One averaged step from y: the next point, u_1 and the residual of y."""
+    u = _lse_rows(kA + y[None, :])
+    u0 = u[0]
+    res = float(_max(np.abs(u - u0 - y), axis=None) / k)
+    z = np.logaddexp(u, u0 + y) - _LOG2
+    return z - z[0], float(u0), res
 
-    def plain(yv):
-        return _lse_rows(kA + yv[None, :])
 
-    def lazy_step(yv):
-        u = plain(yv)
-        res = float(np.abs(u - u[0] - yv).max() / k)
-        z = np.logaddexp(u, u[0] + yv) - math.log(2.0)
-        return z - z[0], float(u[0]), res
+def _lazy_steps(kA: np.ndarray, Y: np.ndarray, k: float):
+    """_lazy_step for each member of a (m, n, n) stack at the points Y (m, n).
 
-    it = 0
-    best_res = math.inf
-    best_y = y
-    best_s = 0.0
+    Every member takes _lazy_step's float operations in the same order, so
+    each row of the result equals its one-matrix step bit for bit.
+    """
+    U = _lse_rows(kA + Y[:, None, :])
+    U0 = U[:, :1]
+    res = _max(np.abs(U - U0 - Y), axis=1) / k
+    Z = np.logaddexp(U, U0 + Y) - _LOG2
+    return Z - Z[:, :1], U[:, 0].tolist(), res.tolist()
 
-    def lazy_phase(y, budget, stall_window=40):
-        """Iterate while genuinely contracting; residual certifies the pre-step point."""
-        nonlocal it, best_res, best_y, best_s
-        history: list[float] = []
-        while budget > 0 and it < max_iter:
-            ynew, s, res = lazy_step(y)
-            it += 1
-            budget -= 1
-            if res < best_res:
-                best_res, best_y, best_s = res, y, s
+
+class _Member:
+    """One matrix's solver state: iterations spent and its best iterate so far."""
+
+    __slots__ = ("it", "res", "y", "s")
+
+    def __init__(self, y: np.ndarray):
+        self.it, self.res, self.y, self.s = 0, math.inf, y, 0.0
+
+
+def _take(kA: np.ndarray, Y, rows: Sequence[int]):
+    """The stack's rows and their points; a lone row as its 2-D matrix and a 1-tuple."""
+    if len(rows) == 1:
+        return kA[rows[0]], (Y[rows[0]],)
+    return kA[rows], Y[rows]
+
+
+def _lazy_phase(kA, Y, members, k, tol, max_iter, budget, stall_window=40):
+    """Lazy steps for a stack while each member is genuinely contracting.
+
+    kA (m, n, n) and the start points Y (m, n) line up with `members`, each
+    of which has iterations left.  A member leaves the stack when a residual
+    certifies its pre-step point, when it stalls, or when it spends max_iter;
+    everyone left leaves when the shared budget runs out.  Returns, per
+    member, the point to continue from, or None once certified.  A lone
+    member takes the 2-D step, which costs less per call than a stack of one.
+    """
+    out: list[np.ndarray | None] = [None] * len(members)
+    live = [(p, mb, []) for p, mb in enumerate(members)]
+    kA, Y = _take(kA, Y, range(len(members)))
+    while live and budget > 0:
+        if kA.ndim == 2:
+            ynew, s, res = _lazy_step(kA, Y[0], k)
+            Ynew, S, R = (ynew,), (s,), (res,)
+        else:
+            Ynew, S, R = _lazy_steps(kA, Y, k)
+        budget -= 1
+        gone = []
+        for q, (p, mb, history) in enumerate(live):
+            res = R[q]
+            mb.it += 1
+            if res < mb.res:
+                mb.res, mb.y, mb.s = res, Y[q], S[q]
             if res < tol:
-                return y, True
+                gone.append(q)
+                continue
             history.append(res)
-            if len(history) > stall_window and res > 0.75 * history[-stall_window]:
-                return ynew, False
-            y = ynew
-        return y, False
+            if (
+                len(history) > stall_window and res > 0.75 * history[-stall_window]
+            ) or mb.it >= max_iter:
+                out[p] = Ynew[q]
+                gone.append(q)
+        if gone:
+            keep = [q for q in range(len(live)) if q not in gone]
+            live = [live[q] for q in keep]
+            if keep:
+                kA, Ynew = _take(kA, Ynew, keep)
+        Y = Ynew
+    for q, (p, _, _) in enumerate(live):
+        out[p] = Y[q]
+    return out
 
-    y, done = lazy_phase(y, 2000)
-    if done:
-        return best_s, best_y, best_res, it, True
 
-    # accelerator: repeated squaring of the diagonally shifted log matrix,
-    # applying 2^t power steps per round.  The shift is certified <= log rho
-    # (Collatz-Wielandt lower bound minus log n), which damps the oscillatory
-    # near-(-rho) mode without disturbing which cycles are critical.  Rounds
-    # are residual-guided: accumulated rounding in the squared matrix doubles
-    # per round, so the loop stops as soon as candidates stop improving.
-    u = plain(y)
+def _accelerate(kA: np.ndarray, y: np.ndarray, mb: _Member, max_iter: int) -> np.ndarray:
+    """Repeated squaring of the diagonally shifted log matrix from y.
+
+    Each round applies 2^t power steps.  The shift is certified <= log rho
+    (Collatz-Wielandt lower bound minus log n), which damps the oscillatory
+    near-(-rho) mode without disturbing which cycles are critical.  Rounds
+    are residual-guided: accumulated rounding in the squared matrix doubles
+    per round, so the loop stops as soon as candidates stop improving.
+    """
+    n = kA.shape[0]
+    u = _lse_rows(kA + y[None, :])
     c0 = float((u - y).min()) - math.log(n) - 1.0
     B = kA.copy()
     idx = np.arange(n)
@@ -169,12 +222,12 @@ def _solve(kA: np.ndarray, k: float, tol: float, max_iter: int, y0: np.ndarray |
     # 40 rounds = power 2^40; beyond that, accumulated rounding in the
     # squared matrix (about 2^t * eps) outweighs anything still to gain
     for _ in range(40):
-        if it >= max_iter:
+        if mb.it >= max_iter:
             break
         xnew = _lse_rows(B + x[None, :])
         xnew -= xnew[0]
-        it += 1
-        if not np.all(np.isfinite(xnew)):
+        mb.it += 1
+        if not np.isfinite(xnew).all():
             break
         delta = float(np.abs(xnew - x).max())
         x = xnew
@@ -182,11 +235,38 @@ def _solve(kA: np.ndarray, k: float, tol: float, max_iter: int, y0: np.ndarray |
             break  # aggregation stabilized
         B = _log_matmul(B, B)
         B -= B.max()
+    return x
 
-    # polish the accelerated candidate; lazy_phase keeps whichever of the
-    # phase-1 and post-squaring iterates certifies the smaller residual
-    lazy_phase(x, 400)
-    return best_s, best_y, best_res, it, best_res < tol
+
+def _solve(kA: np.ndarray, k: float, tol: float, max_iter: int, Y0: np.ndarray | None):
+    """Core solver for a (m, n, n) stack of k*A, started from Y0 (m, n) or 0.
+
+    Returns one (log_rho, y, residual, iterations, converged) per member.
+    The lazy phase advances the whole stack; a member it leaves uncertified
+    goes alone through the accelerator and a polishing lazy phase, which
+    keeps whichever of the two phases' iterates certifies the smaller
+    residual.
+    """
+    m, n = kA.shape[:2]
+    if n == 1:
+        return [(float(kA[i, 0, 0]), np.zeros(1), 0.0, 0, True) for i in range(m)]
+    Y = np.zeros((m, n)) if Y0 is None else Y0
+    members = [_Member(Y[i]) for i in range(m)]
+    starts = _lazy_phase(kA, Y, members, k, tol, max_iter, 2000)
+    for i, (mb, y) in enumerate(zip(members, starts)):
+        if y is not None:
+            x = _accelerate(kA[i], y, mb, max_iter)
+            if mb.it < max_iter:
+                _lazy_phase(kA[i : i + 1], x[None], [mb], k, tol, max_iter, 400)
+    return [(mb.s, mb.y, mb.res, mb.it, mb.res < tol) for mb in members]
+
+
+def _check_limits(tol: float, max_iter: int) -> None:
+    # an infinite tol would certify every start point, zeros included
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    if not (max_iter >= 1):
+        raise ValueError("max_iter must be at least 1")
 
 
 def log_perron_eigenpair(
@@ -206,12 +286,12 @@ def log_perron_eigenpair(
     M = _as_matrix(A)
     if not (math.isfinite(k) and k > 0):
         raise ValueError("k must be finite and positive")
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
+    _check_limits(tol, max_iter)
     y0 = None if start is None else np.asarray(list(start), dtype=float)
     if y0 is not None and y0.shape != (M.shape[0],):
         raise ValueError("start vector has wrong length")
-    s, y, res, it, ok = _solve(k * M, float(k), tol, max_iter, y0)
+    Y0 = None if y0 is None else y0[None]
+    [(s, y, res, it, ok)] = _solve(k * M[None], float(k), tol, max_iter, Y0)
     if not ok:
         raise ConvergenceError(res, it)
     return s, float_point(y), res, it
@@ -248,8 +328,8 @@ def perron_float_oracle(A, k: float) -> tuple[float, np.ndarray]:
     vectors.  All failures raise OracleError.
     """
     M0 = _as_matrix(A)
-    if not (k > 0):
-        raise ValueError("k must be positive")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError("k must be finite and positive")
     n = M0.shape[0]
     with np.errstate(over="ignore", under="ignore"):
         M = np.exp(k * M0)
@@ -391,7 +471,26 @@ def normalized_trajectory(
     failure rather than aborting the run, but its iterate still seeds the
     next sample.
     """
-    M = _as_matrix(A)
+    return normalized_trajectories([A], k_schedule, tol, max_iter)[0]
+
+
+def normalized_trajectories(
+    stack,
+    k_schedule: Sequence[float],
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[PerronTrajectory]:
+    """normalized_trajectory of every matrix in a stack of same-size matrices.
+
+    The members are solved together, one array step for all of them, and
+    each result equals normalized_trajectory of that member alone.
+    """
+    mats = [_as_matrix(A) for A in stack]
+    if not mats:
+        raise ValueError("stack must be non-empty")
+    if any(M.shape != mats[0].shape for M in mats):
+        raise ValueError("stack members must have the same size")
+    S = np.array(mats)
     ks = [float(k) for k in k_schedule]
     if not ks:
         raise ValueError("schedule must be non-empty")
@@ -399,27 +498,34 @@ def normalized_trajectory(
         raise ValueError("schedule values must be finite and positive")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("schedule must be strictly increasing")
-    samples: list[PerronSample] = []
-    failures: list[FailedSample] = []
-    y = None
+    _check_limits(tol, max_iter)
+    samples: list[list[PerronSample]] = [[] for _ in mats]
+    failures: list[list[FailedSample]] = [[] for _ in mats]
+    Y = None
     kprev = None
     for k in ks:
-        y0 = None if y is None else y * (k / kprev)
-        s, yout, res, it, ok = _solve(k * M, k, tol, max_iter, y0)
-        y, kprev = yout, k
-        if ok:
-            samples.append(
-                PerronSample(
-                    k=k,
-                    log_rho_over_k=s / k,
-                    point=float_point(yout / k),
-                    residual=res,
-                    iterations=it,
+        Y0 = None if Y is None else Y * (k / kprev)
+        results = _solve(k * S, k, tol, max_iter, Y0)
+        Y, kprev = np.array([r[1] for r in results]), k
+        for (s, yout, res, it, ok), member_samples, member_failures in zip(
+            results, samples, failures
+        ):
+            if ok:
+                member_samples.append(
+                    PerronSample(
+                        k=k,
+                        log_rho_over_k=s / k,
+                        point=float_point(yout / k),
+                        residual=res,
+                        iterations=it,
+                    )
                 )
-            )
-        else:
-            failures.append(FailedSample(k=k, residual=res, iterations=it))
-    return PerronTrajectory(samples=tuple(samples), failures=tuple(failures))
+            else:
+                member_failures.append(FailedSample(k=k, residual=res, iterations=it))
+    return [
+        PerronTrajectory(samples=tuple(a), failures=tuple(b))
+        for a, b in zip(samples, failures)
+    ]
 
 
 def _doubling_pairs(samples: Sequence[PerronSample]):

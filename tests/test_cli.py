@@ -104,6 +104,17 @@ class TestPerron:
         assert code == 1
         assert "finite" in err
 
+    def test_bad_tol_or_max_iter_is_an_input_error(self, capsys):
+        for flags, word in (
+            (["--tol", "nan"], "tol"),
+            (["--tol", "-1"], "tol"),
+            (["--tol", "inf"], "tol"),
+            (["--max-iter", "0"], "max_iter"),
+        ):
+            code, _, err = run(["perron", "--matrix", FIG2] + flags, capsys)
+            assert code == 1
+            assert word in err
+
 
 class TestFigures:
     def test_flags(self, capsys):
@@ -209,23 +220,31 @@ class TestConjecturesCommand:
         assert report["dataset"]["rows"] >= 3
 
     def test_each_tested_matrix_solved_once(self, tmp_path, monkeypatch, capsys):
+        import numpy as np
+
         import tropasym.cli
         import tropasym.conjectures
-        from tropasym.perron import normalized_trajectory
+        from tropasym.perron import normalized_trajectories, normalized_trajectory
 
-        calls = []
+        solved = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return normalized_trajectory(*args, **kwargs)
+        def counting_stack(stack, *args, **kwargs):
+            solved.extend(np.asarray(A, dtype=float).tobytes() for A in stack)
+            return normalized_trajectories(stack, *args, **kwargs)
 
-        for module in (tropasym.cli, tropasym.conjectures):
-            monkeypatch.setattr(module, "normalized_trajectory", counting)
+        def counting_single(A, *args, **kwargs):
+            solved.append(np.asarray(A, dtype=float).tobytes())
+            return normalized_trajectory(A, *args, **kwargs)
+
+        # the conjecture tests solve stacks; the CLI must not solve again
+        monkeypatch.setattr(tropasym.conjectures, "normalized_trajectories", counting_stack)
+        monkeypatch.setattr(tropasym.cli, "normalized_trajectory", counting_single)
         ds = tmp_path / "g.jsonl"
         code, _, _ = run(self.ARGS + ["--seed", "42", "--dataset", str(ds)], capsys)
         assert code == 0
-        # chains + families * (perturbations + 1) = 2 + 1 * (2 + 1)
-        assert len(calls) == 5
+        # chains + families * (perturbations + 1) = 2 + 1 * (2 + 1) matrices
+        assert len(solved) == 5
+        assert len(set(solved)) == 5
 
     def test_zero_counts(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # default dataset file lands here

@@ -9,6 +9,7 @@ from tropasym import (
     ProjectivePoint,
     TropicalMatrix,
     conjecture1_test,
+    conjecture1_tests,
     conjecture2_test,
     eigenspace_equal,
     eigenspace_preserving_perturbations,
@@ -23,6 +24,8 @@ from tropasym import (
     spectral_data,
     translation_chain,
 )
+
+from _oracles import random_matrix_rows
 
 F = Fraction
 
@@ -84,6 +87,22 @@ class TestConjecture1:
     def test_non_chain_rejected(self):
         with pytest.raises(ValueError):
             conjecture1_test(FIG4, tol=1e-2, schedule=SCHEDULE)
+
+    def test_batch_equals_single(self):
+        single = TropicalMatrix.from_rows([[0, -3, -2], [1, 0, -1], [2, 1, 0]])
+        chains = [FIG7, single]
+        rng = random.Random(5)
+        while len(chains) < 6:
+            A = random_matrix(3, seed=rng)
+            if translation_chain(spectral_data(A).generators) is not None:
+                chains.append(A)
+        verdicts = conjecture1_tests(chains, tol=1e-2, schedule=SCHEDULE, seed=3)
+        assert verdicts == [
+            conjecture1_test(A, tol=1e-2, schedule=SCHEDULE, seed=3) for A in chains
+        ]
+        assert conjecture1_tests([], tol=1e-2, schedule=SCHEDULE) == []
+        with pytest.raises(ValueError, match="translation chain"):
+            conjecture1_tests([FIG7, FIG4], tol=1e-2, schedule=SCHEDULE)
 
     def test_reproducible(self):
         v1 = conjecture1_test(FIG7, tol=1e-2, schedule=SCHEDULE, seed=9)
@@ -222,6 +241,21 @@ class TestRandomMatrix:
 
     def test_deterministic(self):
         assert random_matrix(3, seed=11) == random_matrix(3, seed=11)
+
+    @pytest.mark.parametrize(
+        "grid_step, entry_range",
+        [
+            (1, (-6, 2)),
+            (F(1, 2), (-6, 2)),
+            (F(1, 3), (-6, 2)),
+            (F(1, 2), (F(-5, 3), F(7, 4))),
+        ],
+    )
+    def test_matches_fraction_rows(self, grid_step, entry_range):
+        for seed in range(200):
+            n = 2 + seed % 4
+            A = random_matrix(n, grid_step=grid_step, entry_range=entry_range, seed=seed)
+            assert A == random_matrix_rows(n, grid_step, entry_range, seed)
 
     def test_multiclass_frequency_at_unit_grid(self):
         rng = random.Random(20240810)

@@ -13,6 +13,7 @@ from tropasym import (
     estimate_p_infinity,
     geometric_schedule,
     log_perron_eigenpair,
+    normalized_trajectories,
     normalized_trajectory,
     perron_float_oracle,
     random_matrix,
@@ -21,7 +22,7 @@ from tropasym import (
 )
 from tropasym import perron
 
-from _oracles import log_matmul_oracle
+from _oracles import log_matmul_oracle, trajectory_oracle
 
 FIG2 = [[0.0, -2.5, -0.5], [-1.0, 0.0, -1.5], [-1.0, -1.0, 0.0]]
 FIG3 = [[0.0, -6.0, -5.0], [-1.0, 0.0, -1.0], [-1.0, -2.0, 0.0]]
@@ -67,6 +68,13 @@ class TestEigenpair:
             with pytest.raises(ValueError, match="finite"):
                 log_perron_eigenpair(FIG2, k)
 
+    def test_bad_tol_or_max_iter_rejected(self):
+        for tol in (math.nan, math.inf, -1.0, 0.0):
+            with pytest.raises(ValueError, match="tol"):
+                log_perron_eigenpair(FIG2, 4.0, tol=tol)
+        with pytest.raises(ValueError, match="max_iter"):
+            log_perron_eigenpair(FIG2, 4.0, max_iter=0)
+
     def test_nonconvergence_reports_residual(self):
         with pytest.raises(ConvergenceError) as exc:
             log_perron_eigenpair(FIG2, 4.0, tol=1e-30, max_iter=50)
@@ -97,6 +105,11 @@ class TestFloatOracle:
     def test_overflow_failure(self):
         with pytest.raises(OracleError):
             perron_float_oracle([[0.0, 2.0], [2.0, 0.0]], 1000.0)
+
+    def test_non_finite_k_rejected(self):
+        for k in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                perron_float_oracle(FIG2, k)
 
 
 class TestTrajectory:
@@ -131,6 +144,14 @@ class TestTrajectory:
             with pytest.raises(ValueError, match="finite"):
                 normalized_trajectory(FIG2, bad)
 
+    def test_bad_tol_or_max_iter_rejected(self):
+        for tol in (math.nan, math.inf, -1.0, 0.0):
+            with pytest.raises(ValueError, match="tol"):
+                normalized_trajectory(FIG2, [4.0, 8.0], tol=tol)
+        for max_iter in (0, -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                normalized_trajectory(FIG2, [4.0, 8.0], max_iter=max_iter)
+
     def test_failures_recorded_not_fatal(self):
         traj = normalized_trajectory(FIG2, [4.0, 8.0], tol=1e-30, max_iter=50)
         assert len(traj.samples) + len(traj.failures) == 2
@@ -154,6 +175,69 @@ class TestTrajectory:
             for s in traj.samples:
                 assert s.log_rho_over_k >= lam - 1e-11
                 assert s.log_rho_over_k <= lam + math.log(4) / s.k + 1e-11
+
+
+def grid_stack(n: int, m: int, seed: int) -> list[np.ndarray]:
+    """m zero-diagonal n x n matrices on the 1/2 grid in [-6, 2]: ties abound."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for _ in range(m):
+        A = rng.integers(-12, 5, size=(n, n)) / 2.0
+        np.fill_diagonal(A, 0.0)
+        stack.append(A)
+    return stack
+
+
+class TestStack:
+    SCHEDULE = geometric_schedule(4.0, 8)
+
+    def test_stack_equals_single(self, monkeypatch):
+        accelerated = []
+        accelerate = perron._accelerate
+
+        def counting(kA, y, mb, max_iter):
+            accelerated.append(kA.shape[0])
+            return accelerate(kA, y, mb, max_iter)
+
+        monkeypatch.setattr(perron, "_accelerate", counting)
+        for n in (1, 2, 3, 8):
+            for m in range(1, 9):
+                stack = grid_stack(n, m, seed=100 * n + m)
+                trajs = normalized_trajectories(stack, self.SCHEDULE)
+                assert len(trajs) == m
+                for A, traj in zip(stack, trajs):
+                    single = normalized_trajectory(A, self.SCHEDULE)
+                    assert traj == single == trajectory_oracle(A, self.SCHEDULE)
+        # members that left the lazy phase uncertified went through the accelerator
+        assert {2, 3, 8} <= set(accelerated)
+
+    def test_failing_members_equal_single(self):
+        for n in (2, 3, 8):
+            stack = grid_stack(n, 5, seed=n)
+            trajs = normalized_trajectories(stack, self.SCHEDULE, tol=1e-30, max_iter=50)
+            for A, traj in zip(stack, trajs):
+                assert traj.failures
+                single = normalized_trajectory(A, self.SCHEDULE, tol=1e-30, max_iter=50)
+                assert traj == single == trajectory_oracle(
+                    A, self.SCHEDULE, tol=1e-30, max_iter=50
+                )
+
+    def test_accepts_an_array_stack(self):
+        stack = grid_stack(3, 4, seed=7)
+        assert normalized_trajectories(np.array(stack), self.SCHEDULE) == (
+            normalized_trajectories(stack, self.SCHEDULE)
+        )
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            normalized_trajectories([], self.SCHEDULE)
+        with pytest.raises(ValueError, match="same size"):
+            normalized_trajectories([FIG2, SYM2], self.SCHEDULE)
+        for bad in (math.nan, math.inf):
+            member = [row[:] for row in FIG2]
+            member[0][1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                normalized_trajectories([FIG2, member], self.SCHEDULE)
 
 
 class TestEstimate:
