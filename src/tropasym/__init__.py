@@ -12,25 +12,18 @@ from .core import (
     in_span,
     kleene_star,
     normalize_projective,
-    scale_matrix,
     span_distance,
-    trop_add,
-    trop_matmul,
     trop_project_onto_span,
 )
 from .spectral import (
     SpectralData,
-    cycle_mean_oracle,
     eigenspace_equal,
-    hadamard_lemma_check,
     max_cycle_mean,
     spectral_data,
-    verify_eigenvector,
 )
 from .perron import (
     ConvergenceError,
     EstimateError,
-    OracleError,
     PerronSample,
     PerronTrajectory,
     PinfEstimate,
@@ -39,7 +32,6 @@ from .perron import (
     log_perron_eigenpair,
     normalized_trajectories,
     normalized_trajectory,
-    perron_float_oracle,
     row_coupling_mass,
     trajectory_csv,
 )
@@ -61,7 +53,6 @@ from .conjectures import (
     eigenspace_preserving_perturbations,
     export_samples,
     random_matrix,
-    read_samples,
     translation_chain,
 )
 

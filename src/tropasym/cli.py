@@ -17,14 +17,8 @@ from pathlib import Path
 
 from . import conjectures as conj
 from . import figures as figs
-from .core import (
-    MAX_PLUS,
-    MIN_PLUS,
-    StarDivergenceError,
-    TropicalMatrix,
-)
+from .core import MAX_PLUS, MIN_PLUS, TropicalMatrix
 from .perron import (
-    EstimateError,
     PerronError,
     estimate_p_infinity,
     geometric_schedule,
@@ -54,8 +48,8 @@ def _matrix_from_obj(obj) -> TropicalMatrix:
     elif isinstance(obj, dict):
         rows = obj.get("entries")
         semiring = obj.get("semiring", MAX_PLUS)
-        if rows is None:
-            raise InputError('matrix object must carry an "entries" field')
+        if not isinstance(rows, list):
+            raise InputError('matrix object must carry an "entries" array of rows')
         if "n" in obj and obj["n"] != len(rows):
             raise InputError(f'declared size {obj["n"]} does not match {len(rows)} rows')
     else:
@@ -63,7 +57,7 @@ def _matrix_from_obj(obj) -> TropicalMatrix:
     try:
         ent = [[_entry_to_rational(x) for x in row] for row in rows]
         return TropicalMatrix.from_rows(ent, semiring)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -114,11 +108,7 @@ def cmd_perron(args) -> int:
     traj = normalized_trajectory(
         A.to_floats(), _schedule(args), tol=args.tol, max_iter=args.max_iter
     )
-    csv_text = trajectory_csv(traj, gens)
-    if args.out:
-        Path(args.out).write_text(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _emit(trajectory_csv(traj, gens), args.out)
     est = estimate_p_infinity(traj)  # EstimateError -> exit 2, CSV already emitted
     sys.stdout.write(json.dumps(est.to_json_dict(), indent=2) + "\n")
     return 0
@@ -182,17 +172,20 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _verdict_summary(verdicts) -> dict:
+    return {
+        "count": len(verdicts),
+        "all_hold": all(v.holds for v in verdicts),
+        "failures": [v.witness for v in verdicts if not v.holds],
+    }
+
+
 def cmd_conjectures(args) -> int:
     if args.seed is None:
         raise InputError("--seed is required for randomized commands")
     schedule = _schedule(args)
     rng = random.Random(args.seed)
     report: dict = {"seed": args.seed}
-
-    dataset_rows = []
-
-    def record(matrix, sd, est):
-        dataset_rows.append((matrix, sd, est, args.seed))
 
     # trajectories draw no randomness, so collecting the chain matrices
     # before solving them consumes rng in the same order
@@ -201,27 +194,17 @@ def cmd_conjectures(args) -> int:
     while len(chains) < args.chains and attempts < args.max_attempts:
         attempts += 1
         A = conj.random_matrix(3, grid_step=args.grid_step, seed=rng)
-        sd = spectral_data(A)
-        if len(sd.generators) < 2:
-            continue
-        if conj.translation_chain(sd.generators) is None:
-            continue
-        chains.append((A, sd))
+        gens = spectral_data(A).generators
+        if len(gens) >= 2 and conj.translation_chain(gens) is not None:
+            chains.append(A)
     c1_verdicts = conj.conjecture1_tests(
-        [A for A, _ in chains], tol=args.match_tol, schedule=schedule,
+        chains, tol=args.match_tol, schedule=schedule,
         solver_tol=args.tol, max_iter=args.max_iter, seed=args.seed,
     )
-    for (A, sd), v in zip(chains, c1_verdicts):
-        record(A, sd, v.estimates[0])
-    report["conjecture1"] = {
-        "count": len(c1_verdicts),
-        "all_hold": all(v.holds for v in c1_verdicts),
-        "failures": [v.witness for v in c1_verdicts if not v.holds],
-    }
+    report["conjecture1"] = _verdict_summary(c1_verdicts)
 
-    c2_verdicts = []
-    built = 0
-    while built < args.families and attempts < args.max_attempts:
+    bases, c2_verdicts = [], []
+    while len(bases) < args.families and attempts < args.max_attempts:
         attempts += 1
         A = conj.random_matrix(3, grid_step=args.grid_step, seed=rng)
         perts = conj.eigenspace_preserving_perturbations(
@@ -229,19 +212,19 @@ def cmd_conjectures(args) -> int:
         )
         if len(perts) < args.perturbations:
             continue
-        built += 1
-        v = conj.conjecture2_test(
-            A, perts, tol=args.match_tol, schedule=schedule,
-            solver_tol=args.tol, max_iter=args.max_iter, seed=args.seed,
+        bases.append(A)
+        c2_verdicts.append(
+            conj.conjecture2_test(
+                A, perts, tol=args.match_tol, schedule=schedule,
+                solver_tol=args.tol, max_iter=args.max_iter, seed=args.seed,
+            )
         )
-        c2_verdicts.append(v)
-        record(A, spectral_data(A), v.estimates[0])
-    report["conjecture2"] = {
-        "count": len(c2_verdicts),
-        "all_hold": all(v.holds for v in c2_verdicts),
-        "failures": [v.witness for v in c2_verdicts if not v.holds],
-    }
+    report["conjecture2"] = _verdict_summary(c2_verdicts)
 
+    dataset_rows = [
+        (A, v.spectra[0], v.estimates[0], args.seed)
+        for A, v in zip(chains + bases, c1_verdicts + c2_verdicts)
+    ]
     dataset_path = args.dataset or "g_samples.jsonl"
     conj.export_samples(dataset_rows, dataset_path)
     report["dataset"] = {"path": dataset_path, "rows": len(dataset_rows)}
@@ -313,13 +296,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (StarDivergenceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (PerronError, EstimateError, ArithmeticError) as exc:
+    except (PerronError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

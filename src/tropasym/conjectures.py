@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .core import (
     MAX_PLUS,
-    FloatPoint,
     ProjectivePoint,
     TropicalMatrix,
     as_rational,
@@ -49,12 +48,14 @@ class TranslationChain:
 
 @dataclass(frozen=True)
 class ConjectureVerdict:
-    """Outcome of one test; `estimates` are the measured limits, `A` first."""
+    """Outcome of one test; `estimates` are the measured limits and `spectra`
+    the tested matrices' spectral data, `A` first in both."""
 
     holds: bool
     witness: dict
     tolerance_used: float
     estimates: tuple[PinfEstimate, ...]
+    spectra: tuple[SpectralData, ...]
     seed: int | None = None
 
 
@@ -131,17 +132,14 @@ def conjecture1_tests(
     """conjecture1_test of each same-size matrix, trajectories solved as one stack."""
     if not matrices:
         return []
-    gens, chains = [], []
-    for A in matrices:
-        sd = spectral_data(A)
-        chain = translation_chain(sd.generators)
-        if chain is None:
-            raise ValueError("eigenspace is not a translation chain")
-        gens.append(sd.generators)
-        chains.append(chain)
+    spectra = [spectral_data(A) for A in matrices]
+    chains = [translation_chain(sd.generators) for sd in spectra]
+    if any(chain is None for chain in chains):
+        raise ValueError("eigenspace is not a translation chain")
+    gens = [sd.generators for sd in spectra]
     estimates = _estimates(matrices, gens, schedule, solver_tol, max_iter)
     verdicts = []
-    for A, chain, est in zip(matrices, chains, estimates):
+    for A, sd, chain, est in zip(matrices, spectra, chains, estimates):
         predicted = [float(x) for x in chain.predicted.coords]
         dist = max(abs(a - b) for a, b in zip(predicted, est.point.coords))
         verdicts.append(
@@ -156,6 +154,7 @@ def conjecture1_tests(
                 },
                 tolerance_used=tol,
                 estimates=(est,),
+                spectra=(sd,),
                 seed=seed,
             )
         )
@@ -227,7 +226,8 @@ def conjecture2_test(
 ) -> ConjectureVerdict:
     """All members of an equal-eigenspace family must share one limit."""
     family = [A, *perturbed]
-    gens = [spectral_data(M).generators for M in family]
+    spectra = tuple(spectral_data(M) for M in family)
+    gens = [sd.generators for sd in spectra]
     for g in gens[1:]:
         if not _same_span(gens[0], g):
             raise ValueError("perturbed matrix does not share the eigenspace")
@@ -248,6 +248,7 @@ def conjecture2_test(
         },
         tolerance_used=tol,
         estimates=estimates,
+        spectra=spectra,
         seed=seed,
     )
 
@@ -305,23 +306,3 @@ def export_samples(
             )
         )
     path.write_text("".join(line + "\n" for line in lines))
-
-
-def read_samples(path: str | Path) -> list[tuple[TropicalMatrix, Sequence[ProjectivePoint], PinfEstimate, int | None]]:
-    """Inverse of export_samples (generator tuples in file order)."""
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        matrix = TropicalMatrix.from_rows(obj["matrix"], MAX_PLUS)
-        gens = tuple(
-            ProjectivePoint(tuple(as_rational(x) for x in g)) for g in obj["generators"]
-        )
-        pinf = PinfEstimate(
-            point=FloatPoint(tuple(obj["pinf"])),
-            error_bound=obj["error_bound"],
-            k_max_used=0.0,
-        )
-        out.append((matrix, gens, pinf, obj.get("seed")))
-    return out

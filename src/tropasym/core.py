@@ -111,50 +111,6 @@ class TropicalMatrix:
         return [[x / self.den for x in row] for row in self.nums]
 
 
-def _combine(a: Fraction, b: Fraction, semiring: str) -> Fraction:
-    return max(a, b) if semiring == MAX_PLUS else min(a, b)
-
-
-def trop_add(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
-    """Entrywise tropical sum (max or min per the shared tag)."""
-    _check_pair(A, B)
-    ent = tuple(
-        tuple(_combine(x, y, A.semiring) for x, y in zip(ra, rb))
-        for ra, rb in zip(A.entries, B.entries)
-    )
-    return TropicalMatrix.from_rows(ent, A.semiring)
-
-
-def trop_matmul(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
-    """Tropical matrix product: C_ij = (+)_l A_il (x) B_lj."""
-    _check_pair(A, B)
-    n = A.n
-    pick = max if A.semiring == MAX_PLUS else min
-    ent = tuple(
-        tuple(pick(A.entries[i][l] + B.entries[l][j] for l in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    return TropicalMatrix.from_rows(ent, A.semiring)
-
-
-def _check_pair(A: TropicalMatrix, B: TropicalMatrix):
-    if A.semiring != B.semiring:
-        raise ValueError(f"semiring mismatch: {A.semiring} vs {B.semiring}")
-    if A.n != B.n:
-        raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
-
-
-def scale_matrix(A: TropicalMatrix, k) -> TropicalMatrix:
-    """Entrywise k*A_ij, the log-domain image of the k-th Hadamard power."""
-    k = as_rational(k)
-    if k <= 0:
-        raise ValueError("scale factor must be positive")
-    p, q = k.as_integer_ratio()
-    return TropicalMatrix(
-        tuple(tuple(p * x for x in row) for row in A.nums), q * A.den, A.semiring
-    )
-
-
 def _find_bad_cycle(W: list[list[int]]) -> tuple[int, ...]:
     """Extract one divergence witness: a positive cycle of the max-plus integer
     matrix W, by Bellman-Ford predecessor walkback on -W."""

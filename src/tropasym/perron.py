@@ -69,14 +69,6 @@ class ConvergenceError(PerronError):
         self.iterations = iterations
 
 
-class OracleError(PerronError):
-    """The linear-domain float oracle failed or flagged itself unreliable."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 class EstimateError(PerronError):
     pass
 
@@ -274,7 +266,6 @@ def log_perron_eigenpair(
     k: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    start: Sequence[float] | None = None,
 ) -> tuple[float, FloatPoint, float, int]:
     """Log Perron root and normalized log eigenvector of exp(k*A).
 
@@ -287,81 +278,10 @@ def log_perron_eigenpair(
     if not (math.isfinite(k) and k > 0):
         raise ValueError("k must be finite and positive")
     _check_limits(tol, max_iter)
-    y0 = None if start is None else np.asarray(list(start), dtype=float)
-    if y0 is not None and y0.shape != (M.shape[0],):
-        raise ValueError("start vector has wrong length")
-    Y0 = None if y0 is None else y0[None]
-    [(s, y, res, it, ok)] = _solve(k * M[None], float(k), tol, max_iter, Y0)
+    [(s, y, res, it, ok)] = _solve(k * M[None], float(k), tol, max_iter, None)
     if not ok:
         raise ConvergenceError(res, it)
     return s, float_point(y), res, it
-
-
-def _converge_linear(M: np.ndarray, x: np.ndarray, squarings: int = 64) -> np.ndarray | None:
-    P = M.copy()
-    prev = x / x.sum()
-    for _ in range(squarings):
-        y = P @ prev
-        total = y.sum()
-        if not np.isfinite(total) or total <= 0.0:
-            return None
-        y /= total
-        if np.abs(y / prev - 1.0).max() < 1e-13:
-            return y
-        prev = y
-        P = P @ P
-        m = P.max()
-        if not np.isfinite(m) or m <= 0.0:
-            return None
-        P /= m
-    return None
-
-
-def perron_float_oracle(A, k: float) -> tuple[float, np.ndarray]:
-    """Classical linear-domain power iteration on the exponentiated matrix.
-
-    Power steps are applied in bulk by repeated squaring, with a diagonal
-    shift so that a dominant 2-cycle cannot stall the iteration.  This is the
-    fragile reference path: it fails once exp(k*A) overflows, once entries
-    flush to zero (the matrix is no longer positive), or once the result is
-    untrustworthy, detected by disagreement between two independent starting
-    vectors.  All failures raise OracleError.
-    """
-    M0 = _as_matrix(A)
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError("k must be finite and positive")
-    n = M0.shape[0]
-    with np.errstate(over="ignore", under="ignore"):
-        M = np.exp(k * M0)
-    if not np.all(np.isfinite(M)):
-        raise OracleError("overflow: exp(kA) exceeds double range")
-    if M.min() <= 0.0:
-        raise OracleError("underflow: exp(kA) has entries flushed to zero")
-    if n == 1:
-        return float(M[0, 0]), np.ones(1)
-    shifted = M + np.eye(n) * M.sum(axis=1).max()
-    x1 = _converge_linear(shifted, np.ones(n))
-    x2 = _converge_linear(shifted, np.linspace(1.0, 2.0, n))
-    if x1 is None or x2 is None:
-        raise OracleError("power iteration did not converge")
-    if np.abs(np.log(x1) - np.log(x2)).max() > 1e-10:
-        raise OracleError("unreliable: result depends on the starting vector")
-    x = x1
-    for _ in range(50):
-        xn = M @ x
-        xn /= xn.sum()
-        done = np.abs(xn / x - 1.0).max() < 1e-15
-        x = xn
-        if done:
-            break
-    T = M * x[None, :]
-    top = T.max(axis=1)
-    if float(((T.sum(axis=1) - top) / top).min()) < 1e-13:
-        raise OracleError(
-            "unreliable: row structure absorbed below double precision"
-        )
-    rho = float((M @ x)[0] / x[0])
-    return rho, x / x.max()
 
 
 def row_coupling_mass(A, k: float, point: Sequence[float]) -> float:
@@ -453,7 +373,10 @@ def trajectory_csv(traj: PerronTrajectory, gens: Sequence[Sequence[float]]) -> s
 
 
 def geometric_schedule(k0: float = 4.0, doublings: int = 12) -> list[float]:
-    return [k0 * 2.0**i for i in range(doublings + 1)]
+    try:
+        return [k0 * 2.0**i for i in range(doublings + 1)]
+    except OverflowError:  # 2.0**i for i >= 1024
+        raise ValueError("schedule values must be finite and positive") from None
 
 
 def normalized_trajectory(

@@ -202,26 +202,16 @@ def compare_prediction(
     return out
 
 
-def report_to_json(report: SchurReport, verdicts: list[CandidateVerdict] | None = None) -> str:
-    cand_field = []
-    if verdicts is None:
-        for c in report.candidates:
-            cand_field.append(
-                {
-                    "v": [str(x) for x in c.v],
-                    "tp_point": [str(x) for x in c.tp_point.coords],
-                }
-            )
-    else:
-        for v in verdicts:
-            cand_field.append(
-                {
-                    "v": [str(x) for x in v.candidate.v],
-                    "tp_point": [str(x) for x in v.candidate.tp_point.coords],
-                    "in_eigenspace": v.in_eigenspace,
-                    "matches_pinf": v.matches_pinf,
-                }
-            )
+def report_to_json(report: SchurReport, verdicts: list[CandidateVerdict]) -> str:
+    cand_field = [
+        {
+            "v": [str(x) for x in v.candidate.v],
+            "tp_point": [str(x) for x in v.candidate.tp_point.coords],
+            "in_eigenspace": v.in_eigenspace,
+            "matches_pinf": v.matches_pinf,
+        }
+        for v in verdicts
+    ]
     return json.dumps(
         {
             "levels": [

@@ -1,29 +1,19 @@
 """Max-plus spectral data: eigenvalue, critical graph, eigenspace generators.
 
 The tropical eigenvalue of a real square matrix is its maximum cycle mean.
-Karp's dynamic program computes it exactly in O(n^3) integer operations; a
-brute-force simple-cycle enumeration serves as an independent oracle for
-small sizes.  The eigenspace is generated by Kleene-star columns at critical
-nodes, one per strongly connected component of the critical graph.
+Karp's dynamic program computes it exactly in O(n^3) integer operations.
+The eigenspace is generated by Kleene-star columns at critical nodes, one
+per strongly connected component of the critical graph.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Sequence
 
-from .core import (
-    MAX_PLUS,
-    ProjectivePoint,
-    TropicalMatrix,
-    as_rational,
-    in_span,
-    kleene_star,
-    scale_matrix,
-)
+from .core import MAX_PLUS, ProjectivePoint, TropicalMatrix, in_span, kleene_star
 
 
 def _require_max_plus(A: TropicalMatrix, what: str):
@@ -60,24 +50,6 @@ def max_cycle_mean(A: TropicalMatrix) -> Fraction:
         if best is None or worst[0] * best[1] > best[0] * worst[1]:
             best = worst
     return Fraction(best[0], best[1] * den)
-
-
-def cycle_mean_oracle(A: TropicalMatrix) -> Fraction:
-    """Independent check: enumerate all simple cycles (n <= 8 only)."""
-    _require_max_plus(A, "cycle_mean_oracle")
-    n = A.n
-    if n > 8:
-        raise ValueError("oracle limited to n <= 8")
-    best = None
-    for r in range(1, n + 1):
-        for nodes in itertools.combinations(range(n), r):
-            for rest in itertools.permutations(nodes[1:]):
-                cyc = (nodes[0],) + rest
-                w = sum(A.entries[cyc[i]][cyc[(i + 1) % r]] for i in range(r))
-                mean = Fraction(w, r)
-                if best is None or mean > best:
-                    best = mean
-    return best
 
 
 @dataclass(frozen=True)
@@ -141,18 +113,6 @@ def spectral_data(A: TropicalMatrix) -> SpectralData:
     )
 
 
-def verify_eigenvector(A: TropicalMatrix, lam, v: ProjectivePoint) -> bool:
-    """Exact check of max_j(A_ij + v_j) = lam + v_i for every row i."""
-    _require_max_plus(A, "verify_eigenvector")
-    if v.dim != A.n:
-        raise ValueError("dimension mismatch")
-    lam = as_rational(lam)
-    for i in range(A.n):
-        if max(A.entries[i][j] + v.coords[j] for j in range(A.n)) != lam + v.coords[i]:
-            return False
-    return True
-
-
 def eigenspace_equal(A: TropicalMatrix, B: TropicalMatrix) -> bool:
     """True iff the two eigenspaces coincide (mutual span membership of generators)."""
     if A.n != B.n:
@@ -163,18 +123,3 @@ def eigenspace_equal(A: TropicalMatrix, B: TropicalMatrix) -> bool:
 def _same_span(ga: Sequence[ProjectivePoint], gb: Sequence[ProjectivePoint]) -> bool:
     """Mutual span membership of two generator sets."""
     return all(in_span(g, gb) for g in ga) and all(in_span(g, ga) for g in gb)
-
-
-def hadamard_lemma_check(A: TropicalMatrix, k: int) -> bool:
-    """Eigenvalue and generators scale exactly by k under entrywise scaling."""
-    if k < 1 or int(k) != k:
-        raise ValueError("k must be a positive integer")
-    k = int(k)
-    Ak = scale_matrix(A, k)
-    if max_cycle_mean(Ak) != k * max_cycle_mean(A):
-        return False
-    scaled = {
-        ProjectivePoint(tuple(k * x for x in g.coords))
-        for g in spectral_data(A).generators
-    }
-    return set(spectral_data(Ak).generators) == scaled

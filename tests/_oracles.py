@@ -8,17 +8,197 @@ raster oracle tests each plot cell on its own with the scalar span_distance,
 the log-domain product oracle reduces one n^3 tensor at once, the trajectory
 oracle solves one matrix at a time with its own closures over the Perron
 solver's float operations, and the random matrix oracle builds its entries as
-Fractions from the same draws.
+Fractions from the same draws.  The matrix product, sum and scaling work
+entrywise on the Fraction entries, the cycle mean oracle enumerates every
+simple cycle, the eigenvector check evaluates the eigen-equation row by row,
+and the float Perron oracle runs linear-domain power iteration on exp(kA).
+
+Besides the oracles, hadamard_lemma_check is a property check of the
+library's own spectral data under entrywise scaling.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from tropasym import MAX_PLUS, MIN_PLUS, TropicalMatrix, float_point, span_distance
+from tropasym import (
+    MAX_PLUS,
+    MIN_PLUS,
+    ProjectivePoint,
+    TropicalMatrix,
+    as_rational,
+    float_point,
+    max_cycle_mean,
+    span_distance,
+    spectral_data,
+)
 from tropasym.perron import FailedSample, PerronSample, PerronTrajectory
+
+
+def _check_pair(A: TropicalMatrix, B: TropicalMatrix):
+    if A.semiring != B.semiring:
+        raise ValueError(f"semiring mismatch: {A.semiring} vs {B.semiring}")
+    if A.n != B.n:
+        raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
+
+
+def trop_add(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
+    """Entrywise tropical sum (max or min per the shared tag)."""
+    _check_pair(A, B)
+    pick = max if A.semiring == MAX_PLUS else min
+    ent = tuple(
+        tuple(pick(x, y) for x, y in zip(ra, rb))
+        for ra, rb in zip(A.entries, B.entries)
+    )
+    return TropicalMatrix.from_rows(ent, A.semiring)
+
+
+def trop_matmul(A: TropicalMatrix, B: TropicalMatrix) -> TropicalMatrix:
+    """Tropical matrix product: C_ij = (+)_l A_il (x) B_lj."""
+    _check_pair(A, B)
+    n = A.n
+    pick = max if A.semiring == MAX_PLUS else min
+    ent = tuple(
+        tuple(pick(A.entries[i][l] + B.entries[l][j] for l in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    return TropicalMatrix.from_rows(ent, A.semiring)
+
+
+def scale_matrix(A: TropicalMatrix, k) -> TropicalMatrix:
+    """Entrywise k*A_ij, the log-domain image of the k-th Hadamard power."""
+    k = as_rational(k)
+    if k <= 0:
+        raise ValueError("scale factor must be positive")
+    return TropicalMatrix.from_rows([[k * x for x in row] for row in A.entries], A.semiring)
+
+
+def _require_max_plus(A: TropicalMatrix, what: str):
+    if A.semiring != MAX_PLUS:
+        raise ValueError(f"{what} requires a max-plus matrix, got {A.semiring}")
+
+
+def cycle_mean_oracle(A: TropicalMatrix) -> Fraction:
+    """Maximum cycle mean by enumerating all simple cycles (n <= 8 only)."""
+    _require_max_plus(A, "cycle_mean_oracle")
+    n = A.n
+    if n > 8:
+        raise ValueError("oracle limited to n <= 8")
+    best = None
+    for r in range(1, n + 1):
+        for nodes in itertools.combinations(range(n), r):
+            for rest in itertools.permutations(nodes[1:]):
+                cyc = (nodes[0],) + rest
+                w = sum(A.entries[cyc[i]][cyc[(i + 1) % r]] for i in range(r))
+                mean = Fraction(w, r)
+                if best is None or mean > best:
+                    best = mean
+    return best
+
+
+def verify_eigenvector(A: TropicalMatrix, lam, v: ProjectivePoint) -> bool:
+    """Exact check of max_j(A_ij + v_j) = lam + v_i for every row i."""
+    _require_max_plus(A, "verify_eigenvector")
+    if v.dim != A.n:
+        raise ValueError("dimension mismatch")
+    lam = as_rational(lam)
+    for i in range(A.n):
+        if max(A.entries[i][j] + v.coords[j] for j in range(A.n)) != lam + v.coords[i]:
+            return False
+    return True
+
+
+def hadamard_lemma_check(A: TropicalMatrix, k: int) -> bool:
+    """Eigenvalue and generators scale exactly by k under entrywise scaling."""
+    if k < 1 or int(k) != k:
+        raise ValueError("k must be a positive integer")
+    k = int(k)
+    Ak = scale_matrix(A, k)
+    if max_cycle_mean(Ak) != k * max_cycle_mean(A):
+        return False
+    scaled = {
+        ProjectivePoint(tuple(k * x for x in g.coords))
+        for g in spectral_data(A).generators
+    }
+    return set(spectral_data(Ak).generators) == scaled
+
+
+class OracleError(RuntimeError):
+    """The linear-domain float oracle failed or flagged itself unreliable."""
+
+
+def _converge_linear(M: np.ndarray, x: np.ndarray, squarings: int = 64) -> np.ndarray | None:
+    P = M.copy()
+    prev = x / x.sum()
+    for _ in range(squarings):
+        y = P @ prev
+        total = y.sum()
+        if not np.isfinite(total) or total <= 0.0:
+            return None
+        y /= total
+        if np.abs(y / prev - 1.0).max() < 1e-13:
+            return y
+        prev = y
+        P = P @ P
+        m = P.max()
+        if not np.isfinite(m) or m <= 0.0:
+            return None
+        P /= m
+    return None
+
+
+def perron_float_oracle(A, k: float) -> tuple[float, np.ndarray]:
+    """Classical linear-domain power iteration on the exponentiated matrix.
+
+    Power steps are applied in bulk by repeated squaring, with a diagonal
+    shift so that a dominant 2-cycle cannot stall the iteration.  This is the
+    fragile reference path: it fails once exp(k*A) overflows, once entries
+    flush to zero (the matrix is no longer positive), or once the result is
+    untrustworthy, detected by disagreement between two independent starting
+    vectors.  All failures raise OracleError.
+    """
+    M0 = np.asarray(A, dtype=float)
+    if M0.ndim != 2 or M0.shape[0] != M0.shape[1] or M0.shape[0] == 0:
+        raise ValueError("matrix must be square and non-empty")
+    if not np.all(np.isfinite(M0)):
+        raise ValueError("matrix entries must be finite")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError("k must be finite and positive")
+    n = M0.shape[0]
+    with np.errstate(over="ignore", under="ignore"):
+        M = np.exp(k * M0)
+    if not np.all(np.isfinite(M)):
+        raise OracleError("overflow: exp(kA) exceeds double range")
+    if M.min() <= 0.0:
+        raise OracleError("underflow: exp(kA) has entries flushed to zero")
+    if n == 1:
+        return float(M[0, 0]), np.ones(1)
+    shifted = M + np.eye(n) * M.sum(axis=1).max()
+    x1 = _converge_linear(shifted, np.ones(n))
+    x2 = _converge_linear(shifted, np.linspace(1.0, 2.0, n))
+    if x1 is None or x2 is None:
+        raise OracleError("power iteration did not converge")
+    if np.abs(np.log(x1) - np.log(x2)).max() > 1e-10:
+        raise OracleError("unreliable: result depends on the starting vector")
+    x = x1
+    for _ in range(50):
+        xn = M @ x
+        xn /= xn.sum()
+        done = np.abs(xn / x - 1.0).max() < 1e-15
+        x = xn
+        if done:
+            break
+    T = M * x[None, :]
+    top = T.max(axis=1)
+    if float(((T.sum(axis=1) - top) / top).min()) < 1e-13:
+        raise OracleError(
+            "unreliable: row structure absorbed below double precision"
+        )
+    rho = float((M @ x)[0] / x[0])
+    return rho, x / x.max()
 
 
 def longest_path_table(A: TropicalMatrix) -> list[list[Fraction]]:

@@ -13,20 +13,16 @@ import numpy as np
 import pytest
 
 from tropasym import (
-    OracleError,
     ProjectivePoint,
     TropicalMatrix,
-    cycle_mean_oracle,
     eigenspace_preserving_perturbations,
     estimate_p_infinity,
     geometric_schedule,
-    hadamard_lemma_check,
     in_span,
     kleene_star,
     max_cycle_mean,
     minplus_schur,
     normalized_trajectory,
-    perron_float_oracle,
     random_matrix,
     span_distance,
     spectral_data,
@@ -36,7 +32,14 @@ from tropasym.core import MIN_PLUS
 from tropasym.figures import figure_report
 from tropasym.perron import row_coupling_mass
 
-from _oracles import longest_path_table, restricted_fw
+from _oracles import (
+    OracleError,
+    cycle_mean_oracle,
+    hadamard_lemma_check,
+    longest_path_table,
+    perron_float_oracle,
+    restricted_fw,
+)
 
 F = Fraction
 SCHEDULE = geometric_schedule(4.0, 12)  # 4 .. 2^14

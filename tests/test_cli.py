@@ -64,6 +64,16 @@ class TestSpectrum:
         code, _, err = run(["spectrum"], capsys)
         assert code == 1
 
+    def test_entries_not_rows(self, capsys):
+        code, _, err = run(["spectrum", "--matrix", '{"n": 3, "entries": 5}'], capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_zero_denominator(self, capsys):
+        code, _, err = run(["spectrum", "--matrix", '[["1/0"]]'], capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+
 
 class TestPerron:
     def test_figure2(self, tmp_path, capsys):
@@ -101,6 +111,11 @@ class TestPerron:
 
     def test_non_finite_k0_is_an_input_error(self, capsys):
         code, _, err = run(["perron", "--matrix", FIG2, "--k0", "nan"], capsys)
+        assert code == 1
+        assert "finite" in err
+
+    def test_overflowing_schedule_is_an_input_error(self, capsys):
+        code, _, err = run(["perron", "--matrix", FIG2, "--doublings", "1030"], capsys)
         assert code == 1
         assert "finite" in err
 
@@ -245,6 +260,25 @@ class TestConjecturesCommand:
         # chains + families * (perturbations + 1) = 2 + 1 * (2 + 1) matrices
         assert len(solved) == 5
         assert len(set(solved)) == 5
+
+    def test_dataset_rows_reuse_the_verdicts_spectra(self, tmp_path, monkeypatch, capsys):
+        import tropasym.cli
+
+        seen = []
+
+        def recording(A):
+            seen.append(A)
+            return spectral_data(A)
+
+        # the CLI filters chain candidates itself; family rows come from verdicts
+        monkeypatch.setattr(tropasym.cli, "spectral_data", recording)
+        ds = tmp_path / "g.jsonl"
+        code, _, _ = run(self.ARGS + ["--seed", "42", "--dataset", str(ds)], capsys)
+        assert code == 0
+        rows = [json.loads(line) for line in ds.read_text().splitlines()]
+        base = TropicalMatrix.from_rows(rows[-1]["matrix"])
+        assert rows[-1]["generators"] == spectral_data(base).to_json_dict()["generators"]
+        assert base not in seen
 
     def test_zero_counts(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # default dataset file lands here

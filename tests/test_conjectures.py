@@ -20,7 +20,6 @@ from tropasym import (
     normalize_projective,
     normalized_trajectory,
     random_matrix,
-    read_samples,
     spectral_data,
     translation_chain,
 )
@@ -278,14 +277,17 @@ class TestDataset:
             est = estimate_p_infinity(traj)
             batch.append((M, sd, est, 42))
         export_samples(batch, path)
-        back = read_samples(path)
+        back = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(back) == 2
-        for (m0, s0, e0, seed0), (m1, g1, e1, seed1) in zip(batch, back):
-            assert m1 == m0
-            assert tuple(g1) == s0.generators
-            assert e1.point == e0.point
-            assert e1.error_bound == e0.error_bound
-            assert seed1 == seed0
+        for (m0, s0, e0, seed0), row in zip(batch, back):
+            assert TropicalMatrix.from_rows(row["matrix"]) == m0
+            gens = tuple(
+                ProjectivePoint(tuple(F(x) for x in g)) for g in row["generators"]
+            )
+            assert gens == s0.generators
+            assert tuple(row["pinf"]) == e0.point.coords
+            assert row["error_bound"] == e0.error_bound
+            assert row["seed"] == seed0
 
     def test_figure7_row_content(self, tmp_path):
         path = tmp_path / "one.jsonl"
@@ -301,4 +303,3 @@ class TestDataset:
         path = tmp_path / "empty.jsonl"
         export_samples([], path)
         assert path.read_text() == ""
-        assert read_samples(path) == []

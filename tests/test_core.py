@@ -14,16 +14,13 @@ from tropasym import (
     in_span,
     kleene_star,
     normalize_projective,
-    scale_matrix,
     span_distance,
-    trop_add,
-    trop_matmul,
     trop_project_onto_span,
 )
 from tropasym.schur import minplus_schur
 from tropasym.spectral import max_cycle_mean
 
-from _oracles import longest_path_table
+from _oracles import longest_path_table, scale_matrix, trop_add, trop_matmul
 
 F = Fraction
 

@@ -8,21 +8,24 @@ import pytest
 from tropasym import (
     ConvergenceError,
     EstimateError,
-    OracleError,
     TropicalMatrix,
     estimate_p_infinity,
     geometric_schedule,
     log_perron_eigenpair,
     normalized_trajectories,
     normalized_trajectory,
-    perron_float_oracle,
     random_matrix,
     span_distance,
     spectral_data,
 )
 from tropasym import perron
 
-from _oracles import log_matmul_oracle, trajectory_oracle
+from _oracles import (
+    OracleError,
+    log_matmul_oracle,
+    perron_float_oracle,
+    trajectory_oracle,
+)
 
 FIG2 = [[0.0, -2.5, -0.5], [-1.0, 0.0, -1.5], [-1.0, -1.0, 0.0]]
 FIG3 = [[0.0, -6.0, -5.0], [-1.0, 0.0, -1.0], [-1.0, -2.0, 0.0]]
@@ -143,6 +146,8 @@ class TestTrajectory:
         for bad in ([math.nan], [4.0, math.nan], [4.0, math.inf]):
             with pytest.raises(ValueError, match="finite"):
                 normalized_trajectory(FIG2, bad)
+        with pytest.raises(ValueError, match="finite"):
+            geometric_schedule(4.0, 1030)
 
     def test_bad_tol_or_max_iter_rejected(self):
         for tol in (math.nan, math.inf, -1.0, 0.0):

@@ -220,9 +220,12 @@ class TestComparePrediction:
         assert hits[0].candidate.tp_point == sd.generators[0]
 
 
-def test_report_json_shape():
+def test_report_json_shape(cex_estimate):
     report = candidate_exponents(CEX.negate())
-    obj = json.loads(report_to_json(report))
+    verdicts = compare_prediction(CEX, report, cex_estimate, tol=1e-2)
+    obj = json.loads(report_to_json(report, verdicts))
     assert set(obj) == {"levels", "candidates"}
     assert obj["levels"][0]["eigenvalue"] == "0"
-    assert all({"v", "tp_point"} <= set(c) for c in obj["candidates"])
+    assert len(obj["candidates"]) == len(report.candidates)
+    keys = {"v", "tp_point", "in_eigenspace", "matches_pinf"}
+    assert all(set(c) == keys for c in obj["candidates"])

@@ -6,18 +6,20 @@ import pytest
 from tropasym import (
     ProjectivePoint,
     TropicalMatrix,
-    cycle_mean_oracle,
     eigenspace_equal,
-    hadamard_lemma_check,
     kleene_star,
     max_cycle_mean,
     normalize_projective,
     random_matrix,
     spectral_data,
-    verify_eigenvector,
 )
 
-from _oracles import strongly_connected_components
+from _oracles import (
+    cycle_mean_oracle,
+    hadamard_lemma_check,
+    strongly_connected_components,
+    verify_eigenvector,
+)
 
 F = Fraction
 
