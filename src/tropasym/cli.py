@@ -19,6 +19,8 @@ from . import conjectures as conj
 from . import figures as figs
 from .core import MAX_PLUS, MIN_PLUS, TropicalMatrix
 from .perron import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     PerronError,
     estimate_p_infinity,
     geometric_schedule,
@@ -54,6 +56,8 @@ def _matrix_from_obj(obj) -> TropicalMatrix:
             raise InputError(f'declared size {obj["n"]} does not match {len(rows)} rows')
     else:
         raise InputError("matrix must be a JSON array or object")
+    if not all(isinstance(row, list) for row in rows):
+        raise InputError("every matrix row must be a JSON array")
     try:
         ent = [[_entry_to_rational(x) for x in row] for row in rows]
         return TropicalMatrix.from_rows(ent, semiring)
@@ -82,8 +86,14 @@ def load_matrix(args) -> TropicalMatrix:
     return _matrix_from_obj(obj)
 
 
-def _schedule(args):
-    return geometric_schedule(args.k0, args.doublings)
+def _trajectory(A: TropicalMatrix, args):
+    """A's trajectory with the command's schedule and solver options."""
+    return normalized_trajectory(
+        A.to_floats(),
+        geometric_schedule(args.k0, args.doublings),
+        tol=args.tol,
+        max_iter=args.max_iter,
+    )
 
 
 def _emit(text: str, out: str | None):
@@ -105,9 +115,7 @@ def cmd_spectrum(args) -> int:
 def cmd_perron(args) -> int:
     A = load_matrix(args)
     gens = [g.to_floats() for g in spectral_data(A).generators]
-    traj = normalized_trajectory(
-        A.to_floats(), _schedule(args), tol=args.tol, max_iter=args.max_iter
-    )
+    traj = _trajectory(A, args)
     _emit(trajectory_csv(traj, gens), args.out)
     est = estimate_p_infinity(traj)  # EstimateError -> exit 2, CSV already emitted
     sys.stdout.write(json.dumps(est.to_json_dict(), indent=2) + "\n")
@@ -121,9 +129,7 @@ def cmd_schur(args) -> int:
     else:
         A, B = M, M.negate()
     report = candidate_exponents(B, normalization=args.normalization)
-    traj = normalized_trajectory(
-        A.to_floats(), _schedule(args), tol=args.tol, max_iter=args.max_iter
-    )
+    traj = _trajectory(A, args)
     est = estimate_p_infinity(traj)
     verdicts = compare_prediction(A, report, est, tol=args.match_tol)
     _emit(report_to_json(report, verdicts), args.out)
@@ -162,9 +168,7 @@ def cmd_plot(args) -> int:
             "plot requires n = 3: only TP^2 projects to the plane for drawing"
         )
     sd = spectral_data(A)
-    traj = normalized_trajectory(
-        A.to_floats(), _schedule(args), tol=args.tol, max_iter=args.max_iter
-    )
+    traj = _trajectory(A, args)
     svg = render_eigenspace_svg(sd, traj, grid=args.grid)
     out = args.out or "eigenspace.svg"
     Path(out).write_text(svg)
@@ -183,7 +187,7 @@ def _verdict_summary(verdicts) -> dict:
 def cmd_conjectures(args) -> int:
     if args.seed is None:
         raise InputError("--seed is required for randomized commands")
-    schedule = _schedule(args)
+    schedule = geometric_schedule(args.k0, args.doublings)
     rng = random.Random(args.seed)
     report: dict = {"seed": args.seed}
 
@@ -199,7 +203,7 @@ def cmd_conjectures(args) -> int:
             chains.append(A)
     c1_verdicts = conj.conjecture1_tests(
         chains, tol=args.match_tol, schedule=schedule,
-        solver_tol=args.tol, max_iter=args.max_iter, seed=args.seed,
+        solver_tol=args.tol, max_iter=args.max_iter,
     )
     report["conjecture1"] = _verdict_summary(c1_verdicts)
 
@@ -216,7 +220,7 @@ def cmd_conjectures(args) -> int:
         c2_verdicts.append(
             conj.conjecture2_test(
                 A, perts, tol=args.match_tol, schedule=schedule,
-                solver_tol=args.tol, max_iter=args.max_iter, seed=args.seed,
+                solver_tol=args.tol, max_iter=args.max_iter,
             )
         )
     report["conjecture2"] = _verdict_summary(c2_verdicts)
@@ -242,18 +246,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, matrix=True):
+    def common(sp, matrix=True, solver=True):
         if matrix:
             sp.add_argument("--input", help="path to a matrix JSON file")
             sp.add_argument("--matrix", help="inline matrix JSON")
-        sp.add_argument("--k0", type=float, default=4.0)
-        sp.add_argument("--doublings", type=int, default=12)
-        sp.add_argument("--tol", type=float, default=1e-13)
-        sp.add_argument("--max-iter", dest="max_iter", type=int, default=10**6)
+        if solver:
+            sp.add_argument("--k0", type=float, default=4.0)
+            sp.add_argument("--doublings", type=int, default=12)
+            sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+            sp.add_argument("--max-iter", dest="max_iter", type=int, default=DEFAULT_MAX_ITER)
         sp.add_argument("--out", help="output path (default: stdout)")
 
     sp = sub.add_parser("spectrum", help="tropical eigenvalue, classes, generators")
-    common(sp)
+    common(sp, solver=False)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("perron", help="trajectory CSV plus limit estimate JSON")

@@ -26,6 +26,8 @@ from .core import (
     span_distance,
 )
 from .perron import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     EstimateError,
     PinfEstimate,
     estimate_p_infinity,
@@ -37,6 +39,8 @@ from .spectral import (
     max_cycle_mean,
     spectral_data,
 )
+
+_PERTURBATION_STEP = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -53,10 +57,8 @@ class ConjectureVerdict:
 
     holds: bool
     witness: dict
-    tolerance_used: float
     estimates: tuple[PinfEstimate, ...]
     spectra: tuple[SpectralData, ...]
-    seed: int | None = None
 
 
 def translation_chain(gens: Sequence[ProjectivePoint]) -> TranslationChain | None:
@@ -113,21 +115,19 @@ def conjecture1_test(
     A: TropicalMatrix,
     tol: float,
     schedule: Sequence[float],
-    solver_tol: float = 1e-13,
-    max_iter: int = 10**6,
-    seed: int | None = None,
+    solver_tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> ConjectureVerdict:
     """Chain prediction vs measured limit; rejects matrices without a chain."""
-    return conjecture1_tests([A], tol, schedule, solver_tol, max_iter, seed)[0]
+    return conjecture1_tests([A], tol, schedule, solver_tol, max_iter)[0]
 
 
 def conjecture1_tests(
     matrices: Sequence[TropicalMatrix],
     tol: float,
     schedule: Sequence[float],
-    solver_tol: float = 1e-13,
-    max_iter: int = 10**6,
-    seed: int | None = None,
+    solver_tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[ConjectureVerdict]:
     """conjecture1_test of each same-size matrix, trajectories solved as one stack."""
     if not matrices:
@@ -152,10 +152,8 @@ def conjecture1_tests(
                     "distance": dist,
                     "error_bound": est.error_bound,
                 },
-                tolerance_used=tol,
                 estimates=(est,),
                 spectra=(sd,),
-                seed=seed,
             )
         )
     return verdicts
@@ -166,25 +164,24 @@ def eigenspace_preserving_perturbations(
     count: int,
     magnitude,
     seed: int,
-    grid_step=Fraction(1, 2),
     max_attempts: int | None = None,
 ) -> list[TropicalMatrix]:
     """Rejection-sample single-entry perturbations that leave the eigenspace alone.
 
-    A perturbed matrix is accepted iff its eigenvalue and its generator set
-    both match the original exactly.  A candidate drawn again is skipped, so
-    the members are distinct.  Deterministic given the seed; warns and
-    returns fewer matrices when the attempt budget runs out.
+    A candidate adds a nonzero multiple of 1/2, at most `magnitude` in size,
+    to one off-diagonal entry; it is accepted iff its eigenvalue and its
+    generator set both match the original exactly.  A candidate drawn again
+    is skipped, so the members are distinct.  Deterministic given the seed;
+    warns and returns fewer matrices when the attempt budget runs out.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     magnitude = as_rational(magnitude)
     if magnitude <= 0:
         raise ValueError("magnitude must be positive")
-    grid_step = as_rational(grid_step)
     rng = random.Random(seed)
     budget = max_attempts if max_attempts is not None else 400 * count
-    steps = int(magnitude / grid_step)
+    steps = int(magnitude / _PERTURBATION_STEP)
     sd0 = spectral_data(A)
     accepted: list[TropicalMatrix] = []
     tried: set[TropicalMatrix] = set()
@@ -195,7 +192,7 @@ def eigenspace_preserving_perturbations(
         j = rng.randrange(A.n)
         if i == j:
             continue
-        delta = grid_step * rng.randint(-steps, steps)
+        delta = _PERTURBATION_STEP * rng.randint(-steps, steps)
         if delta == 0:
             continue
         rows = [list(r) for r in A.entries]
@@ -220,9 +217,8 @@ def conjecture2_test(
     perturbed: Sequence[TropicalMatrix],
     tol: float,
     schedule: Sequence[float],
-    solver_tol: float = 1e-13,
-    max_iter: int = 10**6,
-    seed: int | None = None,
+    solver_tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> ConjectureVerdict:
     """All members of an equal-eigenspace family must share one limit."""
     family = [A, *perturbed]
@@ -246,10 +242,8 @@ def conjecture2_test(
             "pinf_points": points,
             "max_pairwise_distance": worst,
         },
-        tolerance_used=tol,
         estimates=estimates,
         spectra=spectra,
-        seed=seed,
     )
 
 

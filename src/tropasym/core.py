@@ -217,22 +217,23 @@ def normalize_projective(v: Iterable) -> ProjectivePoint:
     return ProjectivePoint(tuple(x - vals[0] for x in vals))
 
 
-def trop_project_onto_span(x: ProjectivePoint, gens: Sequence[ProjectivePoint]) -> ProjectivePoint:
-    """Best max-plus span approximation of x from below.
+def _span_projection(x: Sequence, gens: Sequence[Sequence]) -> list:
+    """Coordinatewise-largest element of span(gens) dominated by x, unnormalized.
 
-    lambda_j = min_i (x_i - g_j,i); the result is the coordinatewise-largest
-    element of span(gens) dominated by x.
+    lambda_j = min_i (x_i - g_j,i) and proj_i = max_j (lambda_j + g_j,i), on
+    coordinate sequences of rationals or floats alike.
     """
     if not gens:
         raise ValueError("need at least one generator")
-    if any(g.dim != x.dim for g in gens):
+    if any(len(g) != len(x) for g in gens):
         raise ValueError("generator dimension mismatch")
-    lams = [min(xi - gi for xi, gi in zip(x.coords, g.coords)) for g in gens]
-    proj = [
-        max(lam + g.coords[i] for lam, g in zip(lams, gens))
-        for i in range(x.dim)
-    ]
-    return normalize_projective(proj)
+    lams = [min(xi - gi for xi, gi in zip(x, g)) for g in gens]
+    return [max(lam + g[i] for lam, g in zip(lams, gens)) for i in range(len(x))]
+
+
+def trop_project_onto_span(x: ProjectivePoint, gens: Sequence[ProjectivePoint]) -> ProjectivePoint:
+    """Best max-plus span approximation of x from below."""
+    return normalize_projective(_span_projection(x.coords, [g.coords for g in gens]))
 
 
 def in_span(x: ProjectivePoint, gens: Sequence[ProjectivePoint]) -> bool:
@@ -269,18 +270,8 @@ def float_point(v: Iterable[float]) -> FloatPoint:
     return FloatPoint(tuple(x - vals[0] for x in vals))
 
 
-def project_onto_span_float(x: Sequence[float], gens: Sequence[Sequence[float]]) -> list[float]:
-    """Float twin of trop_project_onto_span, on raw coordinate sequences."""
-    if not gens:
-        raise ValueError("need at least one generator")
-    lams = [min(xi - gi for xi, gi in zip(x, g)) for g in gens]
-    proj = [max(lam + g[i] for lam, g in zip(lams, gens)) for i in range(len(x))]
-    p0 = proj[0]
-    return [p - p0 for p in proj]
-
-
 def span_distance(x: Sequence[float], gens: Sequence[Sequence[float]]) -> float:
-    """Sup-norm distance from x to its span projection (x normalized first)."""
+    """Sup-norm distance from x to its span projection (both normalized first)."""
     x0 = [xi - x[0] for xi in x]
-    proj = project_onto_span_float(x0, gens)
-    return max(abs(a - b) for a, b in zip(x0, proj))
+    proj = _span_projection(x0, gens)
+    return max(abs(a - (b - proj[0])) for a, b in zip(x0, proj))

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .core import MAX_PLUS, ProjectivePoint, TropicalMatrix, as_rational, in_span
-from .perron import estimate_p_infinity, geometric_schedule, normalized_trajectory
+from .perron import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    estimate_p_infinity,
+    geometric_schedule,
+    normalized_trajectory,
+)
 from .spectral import spectral_data
 
 CONSISTENT = "CONSISTENT"
@@ -55,8 +61,8 @@ def load_cases() -> list[FigureCase]:
 def figure_report(
     k0: float = 4.0,
     doublings: int = 12,
-    tol: float = 1e-13,
-    max_iter: int = 10**6,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[dict]:
     """One row per bundled case: spectral data, measured limit, caption flag."""
     rows = []

@@ -43,6 +43,9 @@ DEFAULT_MAX_ITER = 10**6
 # trajectory moves below this are indistinguishable from rounding noise
 _MOVE_NOISE = 1e-9
 
+# lazy steps over which a residual must fall below 3/4 of its old value
+_STALL_WINDOW = 40
+
 # row block height of _log_matmul; 8 measured as fast as 16
 _LOG_MATMUL_ROWS = 16
 
@@ -149,7 +152,7 @@ def _take(kA: np.ndarray, Y, rows: Sequence[int]):
     return kA[rows], Y[rows]
 
 
-def _lazy_phase(kA, Y, members, k, tol, max_iter, budget, stall_window=40):
+def _lazy_phase(kA, Y, members, k, tol, max_iter, budget):
     """Lazy steps for a stack while each member is genuinely contracting.
 
     kA (m, n, n) and the start points Y (m, n) line up with `members`, each
@@ -180,7 +183,7 @@ def _lazy_phase(kA, Y, members, k, tol, max_iter, budget, stall_window=40):
                 continue
             history.append(res)
             if (
-                len(history) > stall_window and res > 0.75 * history[-stall_window]
+                len(history) > _STALL_WINDOW and res > 0.75 * history[-_STALL_WINDOW]
             ) or mb.it >= max_iter:
                 out[p] = Ynew[q]
                 gone.append(q)

@@ -16,6 +16,7 @@ from .perron import PerronTrajectory
 from .spectral import SpectralData
 
 REGION_TOL = 1e-9
+_PAD = 1.0  # the region window pads the generators' bounding box by this
 _SIZE = 640.0
 _MARGIN = 40.0
 
@@ -32,7 +33,6 @@ def render_eigenspace_svg(
     sd: SpectralData,
     traj: PerronTrajectory | None = None,
     grid: int = 400,
-    pad: float = 1.0,
 ) -> str:
     """SVG with the shaded span region, circled generators, and the trajectory.
 
@@ -50,11 +50,10 @@ def render_eigenspace_svg(
     tpts: list[tuple[float, float]] = []
     if traj is not None:
         tpts = [(s.point.coords[1], s.point.coords[2]) for s in traj.samples]
-    # region window: generator bounding box padded by `pad`
-    x_lo = min(p[0] for p in pts) - pad
-    x_hi = max(p[0] for p in pts) + pad
-    y_lo = min(p[1] for p in pts) - pad
-    y_hi = max(p[1] for p in pts) + pad
+    x_lo = min(p[0] for p in pts) - _PAD
+    x_hi = max(p[0] for p in pts) + _PAD
+    y_lo = min(p[1] for p in pts) - _PAD
+    y_hi = max(p[1] for p in pts) + _PAD
     # canvas covers the region window plus any trajectory points
     cx_lo = min([x_lo] + [p[0] for p in tpts])
     cx_hi = max([x_hi] + [p[0] for p in tpts])

@@ -103,7 +103,7 @@ def schur_sequence(B: TropicalMatrix) -> list[SchurLevel]:
                 removed_classes=classes_orig,
             )
         )
-        crit = set().union(*(set(c) for c in sd.classes))
+        crit = sd.critical_nodes
         if crit == set(range(current.n)):
             return levels
         normalized = current.shift(-lam)

@@ -2,6 +2,8 @@ import hashlib
 import json
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from tropasym import TropicalMatrix, spectral_data
 from tropasym.cli import main
 from tropasym.plotting import render_eigenspace_svg
@@ -65,9 +67,20 @@ class TestSpectrum:
         assert code == 1
 
     def test_entries_not_rows(self, capsys):
-        code, _, err = run(["spectrum", "--matrix", '{"n": 3, "entries": 5}'], capsys)
-        assert code == 1
-        assert err.startswith("error: ")
+        # a string or object row would otherwise be read as its characters or keys
+        for matrix in (
+            '{"n": 3, "entries": 5}',
+            '[["0","1"],"00"]',
+            '{"entries": [["0","1"],{"3":1,"4":2}]}',
+        ):
+            code, _, err = run(["spectrum", "--matrix", matrix], capsys)
+            assert code == 1
+            assert err.startswith("error: ")
+
+    def test_solver_options_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--matrix", FIG7, "--tol", "1e-3"])
+        assert exc.value.code == 2
 
     def test_zero_denominator(self, capsys):
         code, _, err = run(["spectrum", "--matrix", '[["1/0"]]'], capsys)
