@@ -19,6 +19,8 @@ from . import conjectures as conj
 from . import figures as figs
 from .core import MAX_PLUS, MIN_PLUS, TropicalMatrix
 from .perron import (
+    DEFAULT_DOUBLINGS,
+    DEFAULT_K0,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     PerronError,
@@ -30,6 +32,10 @@ from .perron import (
 from .plotting import render_eigenspace_svg
 from .schur import candidate_exponents, compare_prediction, report_to_json
 from .spectral import spectral_data
+
+
+# largest sup-norm gap at which a measured limit matches its prediction
+_MATCH_TOL = 1e-2
 
 
 class InputError(Exception):
@@ -251,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--input", help="path to a matrix JSON file")
             sp.add_argument("--matrix", help="inline matrix JSON")
         if solver:
-            sp.add_argument("--k0", type=float, default=4.0)
-            sp.add_argument("--doublings", type=int, default=12)
+            sp.add_argument("--k0", type=float, default=DEFAULT_K0)
+            sp.add_argument("--doublings", type=int, default=DEFAULT_DOUBLINGS)
             sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
             sp.add_argument("--max-iter", dest="max_iter", type=int, default=DEFAULT_MAX_ITER)
         sp.add_argument("--out", help="output path (default: stdout)")
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("schur", help="candidate exponent pipeline report")
     common(sp)
     sp.add_argument("--normalization", choices=["row", "column"], default="row")
-    sp.add_argument("--match-tol", dest="match_tol", type=float, default=1e-2)
+    sp.add_argument("--match-tol", dest="match_tol", type=float, default=_MATCH_TOL)
     sp.set_defaults(func=cmd_schur)
 
     sp = sub.add_parser("figures", help="bundled reference matrices, with caption flags")
@@ -288,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--families", type=int, default=5, help="perturbation families to test")
     sp.add_argument("--perturbations", type=int, default=3)
     sp.add_argument("--grid-step", dest="grid_step", default="1")
-    sp.add_argument("--match-tol", dest="match_tol", type=float, default=1e-2)
+    sp.add_argument("--match-tol", dest="match_tol", type=float, default=_MATCH_TOL)
     sp.add_argument("--max-attempts", dest="max_attempts", type=int, default=20000)
     sp.add_argument("--dataset", help="path for the JSON-lines sample dataset")
     sp.set_defaults(func=cmd_conjectures)

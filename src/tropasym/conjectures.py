@@ -184,23 +184,24 @@ def eigenspace_preserving_perturbations(
     steps = int(magnitude / _PERTURBATION_STEP)
     sd0 = spectral_data(A)
     accepted: list[TropicalMatrix] = []
-    tried: set[TropicalMatrix] = set()
+    # distinct (entry, delta) draws give distinct matrices; once every one of
+    # them has been tried, further draws cannot add a member
+    candidates = A.n * (A.n - 1) * 2 * steps
+    tried: set[tuple[int, int, int]] = set()
     for _ in range(budget):
-        if len(accepted) >= count:
+        if len(accepted) >= count or len(tried) == candidates:
             break
         i = rng.randrange(A.n)
         j = rng.randrange(A.n)
         if i == j:
             continue
-        delta = _PERTURBATION_STEP * rng.randint(-steps, steps)
-        if delta == 0:
+        step = rng.randint(-steps, steps)
+        if step == 0 or (i, j, step) in tried:
             continue
+        tried.add((i, j, step))
         rows = [list(r) for r in A.entries]
-        rows[i][j] = rows[i][j] + delta
+        rows[i][j] = rows[i][j] + _PERTURBATION_STEP * step
         B = TropicalMatrix.from_rows(rows, A.semiring)
-        if B in tried:
-            continue
-        tried.add(B)
         if max_cycle_mean(B) != sd0.lam:
             continue
         if _same_span(sd0.generators, spectral_data(B).generators):

@@ -15,6 +15,8 @@ from importlib import resources
 
 from .core import MAX_PLUS, ProjectivePoint, TropicalMatrix, as_rational, in_span
 from .perron import (
+    DEFAULT_DOUBLINGS,
+    DEFAULT_K0,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     estimate_p_infinity,
@@ -59,8 +61,8 @@ def load_cases() -> list[FigureCase]:
 
 
 def figure_report(
-    k0: float = 4.0,
-    doublings: int = 12,
+    k0: float = DEFAULT_K0,
+    doublings: int = DEFAULT_DOUBLINGS,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[dict]:

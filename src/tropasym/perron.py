@@ -39,6 +39,9 @@ from .core import FloatPoint, float_point, span_distance
 
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_ITER = 10**6
+# the sampling schedule k0 * 2^i, i = 0..doublings: k = 4 to 2^14
+DEFAULT_K0 = 4.0
+DEFAULT_DOUBLINGS = 12
 
 # trajectory moves below this are indistinguishable from rounding noise
 _MOVE_NOISE = 1e-9
@@ -116,11 +119,15 @@ def _log_matmul(B: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 def _lazy_step(kA: np.ndarray, y: np.ndarray, k: float):
     """One averaged step from y: the next point, u_1 and the residual of y."""
-    u = _lse_rows(kA + y[None, :])
-    u0 = u[0]
-    res = float(_max(np.abs(u - u0 - y), axis=None) / k)
+    # _lse_rows inlined for one matrix: the same float operations in fewer
+    # numpy calls, since call overhead is most of a step at small n
+    B = kA + y
+    m = _max(B, axis=1)
+    u = m + np.log(_sum(np.exp(B - m[:, None]), axis=1))
+    u0 = float(u[0])
+    res = float(_max(np.abs(u - u0 - y), axis=None)) / k
     z = np.logaddexp(u, u0 + y) - _LOG2
-    return z - z[0], float(u0), res
+    return z - z[0], u0, res
 
 
 def _lazy_steps(kA: np.ndarray, Y: np.ndarray, k: float):
@@ -375,7 +382,9 @@ def trajectory_csv(traj: PerronTrajectory, gens: Sequence[Sequence[float]]) -> s
     return "\n".join(lines) + "\n"
 
 
-def geometric_schedule(k0: float = 4.0, doublings: int = 12) -> list[float]:
+def geometric_schedule(
+    k0: float = DEFAULT_K0, doublings: int = DEFAULT_DOUBLINGS
+) -> list[float]:
     try:
         return [k0 * 2.0**i for i in range(doublings + 1)]
     except OverflowError:  # 2.0**i for i >= 1024

@@ -2,10 +2,12 @@
 
 Points of a three-coordinate projective vector plot in the plane through
 their last two coordinates.  The eigenspace region is rasterized by testing
-span membership on a grid, one grid row at a time in numpy.  Each cell's
-distance comes from the same float operations as `core.span_distance`, so
-its verdict at `REGION_TOL` is the one the scalar test gives.  Exactness
-lives in the membership test; pixels are presentation.
+span membership on a grid, a block of grid rows per numpy pass; a block
+holds at most `_RASTER_CELLS` cells, so the temporaries stay a few
+block-sized float arrays at any grid.  Each cell's distance comes from the
+same float operations as `core.span_distance`, so its verdict at
+`REGION_TOL` is the one the scalar test gives.  Exactness lives in the
+membership test; pixels are presentation.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ REGION_TOL = 1e-9
 _PAD = 1.0  # the region window pads the generators' bounding box by this
 _SIZE = 640.0
 _MARGIN = 40.0
+
+# cells per raster block, which bounds the raster's temporaries at any grid
+_RASTER_CELLS = 1 << 16
 
 
 def _gradient(t: float) -> str:
@@ -82,29 +87,42 @@ def render_eigenspace_svg(
         '<rect width="100%" height="100%" fill="white"/>',
         '<g fill="#9db8d9">',
     ]
-    # region cells, run-length merged per row to keep files small.  Each row
-    # repeats core.span_distance([0, x, y], gens) <= REGION_TOL elementwise:
-    # lam_j = min(0 - g_j0, x - g_j1, y - g_j2), proj_i = max_j(lam_j + g_ji),
-    # dist = max_i |p_i - (proj_i - proj_0)|, whose i = 0 term is exactly 0;
-    # temporaries are (grid, len(gens), 3)
+    # region cells, run-length merged per row to keep files small.  A block
+    # of rows repeats core.span_distance([0, x, y], gens) <= REGION_TOL
+    # elementwise: lam_j = min(0 - g_j0, x - g_j1, y - g_j2),
+    # proj_i = max_j(lam_j + g_ji) (a max is exact in any order),
+    # dist = max_i |p_i - (proj_i - proj_0)|, whose i = 0 term is exactly 0.
+    # Temporaries are one workspace of five (rows, grid) float arrays, at
+    # most 2.5 MB: rows * grid <= _RASTER_CELLS unless one row exceeds it
     g = np.array(gens)
     xs = x_lo + np.arange(grid) * dx
-    lam_x = np.minimum(0.0 - g[:, 0], xs[:, None] - g[:, 1])  # same on every row
-    inside = np.zeros(grid + 2, dtype=bool)  # False pads close every run
-    for iy in range(grid):
-        y = y_lo + iy * dy
-        lam = np.minimum(lam_x, y - g[:, 2])
-        proj = (lam[:, :, None] + g).max(axis=1)
-        dist = np.maximum(
-            np.abs(xs - (proj[:, 1] - proj[:, 0])),
-            np.abs(y - (proj[:, 2] - proj[:, 0])),
-        )
-        inside[1:-1] = dist <= REGION_TOL
-        edges = np.flatnonzero(inside[1:] != inside[:-1]).tolist()
-        for start, stop in zip(edges[::2], edges[1::2]):
-            px0, py0 = to_px(x_lo + start * dx, y_lo + (iy + 1) * dy)
+    # min(0 - g_j0, x - g_j1), the same on every row: (len(gens), grid)
+    lam_x = np.minimum((0.0 - g[:, 0])[:, None], xs - g[:, 1][:, None])
+    rows = max(1, _RASTER_CELLS // grid)
+    work = np.empty((5, min(rows, grid), grid))
+    h = dy * scale
+    for iy0 in range(0, grid, rows):
+        ys = y_lo + np.arange(iy0, min(iy0 + rows, grid))[:, None] * dy
+        block = work[:, : len(ys)]
+        block[2:] = -np.inf  # max(-inf, v) is v: the proj_i start empty
+        lam, tmp, p0, p1, p2 = block
+        for lam_xj, gj in zip(lam_x, g):
+            np.minimum(lam_xj, ys - gj[2], out=lam)
+            for p, gji in zip((p0, p1, p2), gj):
+                np.maximum(p, np.add(lam, gji, out=tmp), out=p)
+        np.abs(np.subtract(xs, np.subtract(p1, p0, out=p1), out=p1), out=p1)
+        np.abs(np.subtract(ys, np.subtract(p2, p0, out=p2), out=p2), out=p2)
+        inside = np.zeros((len(ys), grid + 2), dtype=bool)  # False pads close runs
+        np.less_equal(np.maximum(p1, p2, out=p1), REGION_TOL, out=inside[:, 1:-1])
+        # an even number of edges per padded row: consecutive pairs are the
+        # (start, stop) of each run, rows in order
+        edge_rows, edge_cols = np.nonzero(inside[:, 1:] != inside[:, :-1])
+        edge_cols = edge_cols.tolist()
+        for r, start, stop in zip(
+            edge_rows[::2].tolist(), edge_cols[::2], edge_cols[1::2]
+        ):
+            px0, py0 = to_px(x_lo + start * dx, y_lo + (iy0 + r + 1) * dy)
             w = (stop - start) * dx * scale
-            h = dy * scale
             parts.append(
                 f'<rect x="{px0:.2f}" y="{py0:.2f}" '
                 f'width="{w + 0.5:.2f}" height="{h + 0.5:.2f}"/>'

@@ -1,11 +1,18 @@
 import hashlib
+import inspect
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from tropasym import TropicalMatrix, spectral_data
-from tropasym.cli import main
+from tropasym import (
+    TropicalMatrix,
+    geometric_schedule,
+    normalized_trajectory,
+    spectral_data,
+)
+from tropasym.cli import build_parser, main
+from tropasym.figures import figure_report
 from tropasym.plotting import render_eigenspace_svg
 
 FIG2 = '[["0","-2.5","-0.5"],["-1","0","-1.5"],["-1","-1","0"]]'
@@ -352,6 +359,35 @@ def pinned_outputs(tmp_path, capsys) -> dict[str, str]:
     exact = [{k: r[k] for k in ("matrix", "generators", "seed")} for r in rows]
     out["conjectures dataset"] = _sha(json.dumps(exact))
     return out
+
+
+class TestParserDefaults:
+    SOLVER_COMMANDS = ["perron", "schur", "figures", "plot", "conjectures"]
+
+    @staticmethod
+    def _defaults(command):
+        return vars(build_parser().parse_args([command]))
+
+    @staticmethod
+    def _signature_defaults(fn):
+        return {
+            name: p.default
+            for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty
+        }
+
+    def test_solver_options_default_to_the_library(self):
+        library = {
+            **self._signature_defaults(geometric_schedule),
+            **self._signature_defaults(normalized_trajectory),
+        }
+        assert library == self._signature_defaults(figure_report)
+        for command in self.SOLVER_COMMANDS:
+            d = self._defaults(command)
+            assert {name: d[name] for name in library} == library, command
+
+    def test_match_tol_has_one_default(self):
+        assert self._defaults("schur")["match_tol"] == self._defaults("conjectures")["match_tol"]
 
 
 class TestFixedSeedOutputs:

@@ -28,6 +28,7 @@ from _oracles import random_matrix_rows
 
 F = Fraction
 
+FIG3 = TropicalMatrix.from_rows([[0, -6, -5], [-1, 0, -1], [-1, -2, 0]])
 FIG4 = TropicalMatrix.from_rows([[0, -1, -1], [-4, 0, -1], [-1, -1, -4]])
 FIG7 = TropicalMatrix.from_rows([[0, 1, 3], [-5, 0, 1], [-6, -1, 0]])
 FIG8 = TropicalMatrix.from_rows([[0, -4, -2], [1, 0, -3], [-1, -1, 0]])
@@ -159,6 +160,23 @@ class TestPerturbations:
                 FIG8, count=50, magnitude=2, seed=1, max_attempts=5
             )
         assert len(got) < 50
+
+    def test_stops_once_every_candidate_was_tried(self, monkeypatch):
+        # FIG3 has no eigenspace-preserving perturbation of magnitude 2: its
+        # 6 off-diagonal entries x 8 nonzero deltas give 48 candidates, so
+        # more than 48 matrices built means draws after the last candidate
+        built = []
+        from_rows = TropicalMatrix.from_rows.__func__
+
+        def counting(cls, rows, *args):
+            built.append(rows)
+            return from_rows(cls, rows, *args)
+
+        monkeypatch.setattr(TropicalMatrix, "from_rows", classmethod(counting))
+        with pytest.warns(UserWarning, match="found only 0/3"):
+            got = eigenspace_preserving_perturbations(FIG3, count=3, magnitude=2, seed=1)
+        assert got == []
+        assert 0 < len(built) <= 48
 
     def test_eigenspace_equality_is_transitive_on_chains(self):
         # A ~ B and B ~ C constructed by successive accepted perturbations

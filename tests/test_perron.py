@@ -227,6 +227,21 @@ class TestStack:
                     A, self.SCHEDULE, tol=1e-30, max_iter=50
                 )
 
+    def test_one_member_step_equals_stack_row(self):
+        # a lone member takes the 2-D step, which must match its stacked step
+        rng = np.random.default_rng(23)
+        for n in range(2, 41):
+            for k in (4.0, 64.0, 1024.0, 2.0**14):
+                A = rng.uniform(-6.0, 0.0, (n, n))
+                np.fill_diagonal(A, 0.0)
+                kA = k * A
+                y = k * rng.uniform(-3.0, 3.0, n)
+                y[0] = 0.0
+                ynew, s, res = perron._lazy_step(kA, y, k)
+                Ynew, S, R = perron._lazy_steps(kA[None], y[None], k)
+                assert np.array_equal(ynew, Ynew[0]), (n, k)
+                assert (s, res) == (S[0], R[0]), (n, k)
+
     def test_accepts_an_array_stack(self):
         stack = grid_stack(3, 4, seed=7)
         assert normalized_trajectories(np.array(stack), self.SCHEDULE) == (

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import pytest
 
-from tropasym import random_matrix, spectral_data
+from tropasym import plotting, random_matrix, spectral_data
 from tropasym.plotting import REGION_TOL, render_eigenspace_svg
 
 from _oracles import region_rects
@@ -22,9 +24,30 @@ def test_seeds_cover_every_region_shape():
 
 
 @pytest.mark.parametrize("grid", [2, 17, 64])
-def test_region_matches_per_cell_oracle(grid):
+def test_region_matches_per_cell_oracle(grid, monkeypatch):
+    # blocks of the default size, of one row, and of 5 rows, which leaves a
+    # partial last block at grid 17 and 64
     for seed in SEEDS:
         sd = spectral_data(random_matrix(3, seed=seed))
         gens = [g.to_floats() for g in sd.generators]
-        svg = render_eigenspace_svg(sd, None, grid)
-        assert _region_lines(svg) == region_rects(gens, grid, REGION_TOL), seed
+        expected = region_rects(gens, grid, REGION_TOL)
+        for block_rows in (None, 1, 5):
+            with monkeypatch.context() as m:
+                if block_rows is not None:
+                    m.setattr(plotting, "_RASTER_CELLS", block_rows * grid + grid - 1)
+                svg = render_eigenspace_svg(sd, None, grid)
+            assert _region_lines(svg) == expected, (seed, block_rows)
+
+
+def test_raster_memory_stays_below_a_lattice_tensor():
+    sd = spectral_data(random_matrix(3, seed=1))
+    assert len(sd.generators) == 3  # a full region: every block has runs
+    grid = 400
+    render_eigenspace_svg(sd, None, 8)  # first-call allocations off the books
+    tracemalloc.start()
+    try:
+        render_eigenspace_svg(sd, None, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid * grid * 3 * 8  # one (grid, grid, 3) float64 tensor
