@@ -4,11 +4,14 @@ Everything in this module is exact and no operation ever rounds.  A matrix
 is plain Python `int` numerators over one positive denominator, in lowest
 terms; `TropicalMatrix.from_rows` is the one place that encodes rationals
 into that form, and `entries` is its read-only `fractions.Fraction` view.
-The kernels (Kleene star, Karp, Schur complement) read the numerators
-directly; points and scalar results are `Fraction`s.  Criticality of a cycle
-is a statement about exact ties, so the whole combinatorial layer must stay
-exact; floating point enters only in the numerical companion types at the
-bottom of the module.
+The kernels (Kleene star, Karp, Schur complement) read the numerators into
+one integer numpy array each and run their O(n^3) passes on it: `int64`
+while the kernel's own bound on the magnitudes it forms stays below 2**62,
+Python ints (dtype object) past that, with the same code for both.  Results
+go back to tuples of Python ints; points and scalar results are `Fraction`s.
+Criticality of a cycle is a statement about exact ties, so the whole
+combinatorial layer must stay exact; floating point enters only in the
+numerical companion types at the bottom of the module.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 MAX_PLUS = "max-plus"
 MIN_PLUS = "min-plus"
@@ -62,7 +68,11 @@ class TropicalMatrix:
             raise ValueError("matrix must be square and non-empty")
         if self.den <= 0:
             raise ValueError("denominator must be positive")
-        g = math.gcd(self.den, *(x for row in self.nums for x in row))
+        g = self.den
+        for row in self.nums:
+            if g == 1:
+                break
+            g = math.gcd(g, *row)
         if g != 1:
             nums = tuple(tuple(x // g for x in row) for row in self.nums)
             object.__setattr__(self, "nums", nums)
@@ -148,37 +158,52 @@ def _find_bad_cycle(W: list[list[int]]) -> tuple[int, ...]:
     return tuple(cycle)
 
 
+def _int_array(nums: Sequence[Sequence[int]], growth: int) -> np.ndarray:
+    """The numerators as an exact integer array for a kernel that forms no
+    value past `growth` times their largest magnitude: int64 while that
+    bound stays below 2**62, Python ints (dtype object) from there on."""
+    bound = growth * max(map(abs, chain.from_iterable(nums)))
+    return np.array(nums, dtype=np.int64 if bound < 1 << 62 else object)
+
+
+def _star(W: np.ndarray, kind: str) -> np.ndarray:
+    """Kleene star of the max-plus integer array W, by Floyd-Warshall rounds.
+
+    A positive cycle whose largest node is k shows as S[k, k] > 0 before
+    round k, so the pass raises there.  Every round it does run therefore
+    holds path weights in [-M, (n - 1) M] for M = max|W|, and sums at most
+    2nM, which is why its callers pass `_int_array` a growth of 2n or more.
+    `kind` names the cycle in the error ("negative" when W is a negated
+    min-plus matrix).
+    """
+    n = len(W)
+    S = W.copy()
+    for k in range(n):
+        if S[k, k] > 0:
+            cyc = _find_bad_cycle(W.tolist())
+            where = "->".join(map(str, cyc + cyc[:1])) if cyc else f"through node {k}"
+            raise StarDivergenceError(f"Kleene star diverges: {kind} cycle {where}", cyc)
+        np.maximum(S, S[:, k, None] + S[k], out=S)
+    S.flat[:: n + 1] = 0  # identity term: the empty path
+    return S
+
+
 def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
     """S = I (+) A (+) A^2 (+) ... (path of length 0 handled structurally).
 
     Entries are optimal path weights.  Converges iff the matrix has no
     positive cycle (max-plus) or no negative cycle (min-plus).  One in-place
-    Floyd-Warshall pass on exact integer numerators over the entries' common
-    denominator; a min-plus matrix runs as the max-plus matrix -A.
+    Floyd-Warshall pass over an array of the exact integer numerators:
+    int64 while 2n max|A| stays below 2**62, Python ints past that.  The pass
+    stops at the first round whose pivot closes a bad cycle, before any sum
+    can outgrow that bound; a min-plus matrix runs as the max-plus matrix -A.
     """
-    n = A.n
-    maximum = A.semiring == MAX_PLUS
-    W = [list(row) if maximum else [-x for x in row] for row in A.nums]
-    S = [row[:] for row in W]
-    # In place: S[i][k] and S[k][j] hold in round k unless a positive cycle
-    # runs through k, and such a cycle leaves some S[i][i] > 0 either way.
-    for k in range(n):
-        Sk = S[k]
-        for i in range(n):
-            a = S[i][k]
-            S[i] = [x if x >= a + y else a + y for x, y in zip(S[i], Sk)]
-    for i in range(n):
-        if S[i][i] > 0:
-            cyc = _find_bad_cycle(W)
-            kind = "positive" if maximum else "negative"
-            where = "->".join(map(str, cyc + cyc[:1])) if cyc else f"through node {i}"
-            raise StarDivergenceError(
-                f"Kleene star diverges: {kind} cycle {where}", cyc
-            )
-        S[i][i] = 0  # identity term: the empty path
-    if not maximum:
-        S = [[-x for x in row] for row in S]
-    return TropicalMatrix(tuple(map(tuple, S)), A.den, A.semiring)
+    W = _int_array(A.nums, 2 * A.n)
+    if A.semiring == MAX_PLUS:
+        S = _star(W, "positive")
+    else:
+        S = -_star(-W, "negative")
+    return TropicalMatrix(tuple(map(tuple, S.tolist())), A.den, A.semiring)
 
 
 @dataclass(frozen=True)

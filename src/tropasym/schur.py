@@ -17,14 +17,18 @@ numerically estimated limit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+
+import numpy as np
 
 from .core import (
     MIN_PLUS,
     ProjectivePoint,
     TropicalMatrix,
+    _int_array,
+    _star,
     in_span,
     kleene_star,
     normalize_projective,
@@ -51,21 +55,15 @@ def minplus_schur(A: TropicalMatrix, C: set[int] | frozenset[int]) -> TropicalMa
         return A
     Ns = sorted(set(range(n)) - C)
     Cs = sorted(C)
-    W, den = A.nums, A.den
-    Acc = TropicalMatrix(tuple(tuple(W[i][j] for j in Cs) for i in Cs), den, MIN_PLUS)
-    star = kleene_star(Acc)  # raises StarDivergenceError on a negative cycle in C
-    f = den // star.den  # the star's denominator divides A's
+    # the star of A_CC sums within 2|C|M for M = max|A|, a detour within nM
+    W = _int_array(A.nums, 2 * n)
+    WN, WC = W[Ns], W[Cs]
+    star = -_star(-WC[:, Cs], "negative")  # raises on a negative cycle in C
     # (A_NC (x) C*) (x) A_CN: the best detour into C, through it, and out again
-    star_cols = [[f * x for x in col] for col in zip(*star.nums)]
-    out_cols = [[W[c][j] for c in Cs] for j in Ns]
-    out = []
-    for i in Ns:
-        into = [W[i][c] for c in Cs]
-        through = [min(map(add, into, col)) for col in star_cols]
-        out.append(
-            [min(W[i][j], min(map(add, through, col))) for j, col in zip(Ns, out_cols)]
-        )
-    return TropicalMatrix(tuple(map(tuple, out)), den, MIN_PLUS)
+    through = (WN[:, Cs, None] + star).min(axis=1)
+    detour = (through[:, :, None] + WC[:, Ns]).min(axis=1)
+    out = np.minimum(WN[:, Ns], detour)
+    return TropicalMatrix(tuple(map(tuple, out.tolist())), A.den, MIN_PLUS)
 
 
 @dataclass(frozen=True)
@@ -143,14 +141,18 @@ def candidate_exponents(B: TropicalMatrix, normalization: str = "row") -> SchurR
             for node in cls:
                 removal_level[node] = lv.eigenvalue
     n = B.n
-    ent = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            key = i if normalization == "row" else j
-            row.append(B.entries[i][j] - removal_level[key])
-        ent.append(tuple(row))
-    b_hat = TropicalMatrix.from_rows(ent, MIN_PLUS)
+    # B_hat's numerators over the common denominator of B and the levels
+    den = math.lcm(B.den, *(lv.eigenvalue.denominator for lv in levels))
+    f = den // B.den
+    drop = [
+        removal_level[i].numerator * (den // removal_level[i].denominator)
+        for i in range(n)
+    ]
+    if normalization == "row":
+        nums = tuple(tuple(f * x - d for x in row) for row, d in zip(B.nums, drop))
+    else:
+        nums = tuple(tuple(f * x - d for x, d in zip(row, drop)) for row in B.nums)
+    b_hat = TropicalMatrix(nums, den, MIN_PLUS)
     star = kleene_star(b_hat)  # StarDivergenceError names the offending cycle
     cands: list[Candidate] = []
     seen: set[ProjectivePoint] = set()

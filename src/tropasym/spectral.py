@@ -10,10 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Sequence
 
-from .core import MAX_PLUS, ProjectivePoint, TropicalMatrix, in_span, kleene_star
+import numpy as np
+
+from .core import (
+    MAX_PLUS,
+    ProjectivePoint,
+    TropicalMatrix,
+    _int_array,
+    _star,
+    in_span,
+)
 
 
 def _require_max_plus(A: TropicalMatrix, what: str):
@@ -21,35 +29,42 @@ def _require_max_plus(A: TropicalMatrix, what: str):
         raise ValueError(f"{what} requires a max-plus matrix, got {A.semiring}")
 
 
+def _karp(W: np.ndarray) -> tuple[int, int]:
+    """Maximum cycle mean of the integer array W, as p / q with q > 0.
+
+    D[m][v] is the maximum weight of a walk of exactly m edges from node 0 to
+    v; with m = 0 only node 0 is reachable, at weight 0.  Each row D[m] for
+    m >= 1 is one broadcast max over the previous one, so |D| <= n max|W|.
+    The mean is max_v min_m (D[n][v] - D[m][v]) / (n - m), the ratios
+    compared by cross-multiplication on Python ints.
+    """
+    n = len(W)
+    rows = [W[0]]
+    for _ in range(1, n):
+        rows.append(np.maximum.reduce(rows[-1][:, None] + W))
+    best_p, best_q = None, 1
+    for v, col in enumerate(zip(*(row.tolist() for row in rows))):  # D[1..n][v]
+        dn = col[-1]
+        p_min, q_min = (dn, n) if v == 0 else (None, 1)  # m = 0 reaches node 0 only
+        q = n
+        for d in col[:-1]:
+            q -= 1
+            p = dn - d
+            if p_min is None or p * q_min < p_min * q:
+                p_min, q_min = p, q
+        if best_p is None or p_min * best_q > best_p * q_min:
+            best_p, best_q = p_min, q_min
+    return best_p, best_q
+
+
 def max_cycle_mean(A: TropicalMatrix) -> Fraction:
     """Maximum mean weight over all directed cycles (Karp's algorithm).
 
-    D[m][v] is the maximum weight of a walk of exactly m edges from node 0 to
-    v (None while unreachable; with all-finite entries only m=0 has Nones).
-    The eigenvalue is max_v min_m (D[n][v] - D[m][v]) / (n - m).  The table
-    holds integer numerators over A's denominator, and the ratios are
-    compared by cross-multiplication.
+    Karp's table runs on A's integer numerators, over its denominator.
     """
     _require_max_plus(A, "max_cycle_mean")
-    n = A.n
-    W, den = A.nums, A.den
-    cols = list(zip(*W))
-    D: list[list[int | None]] = [[0] + [None] * (n - 1), W[0]]
-    for _ in range(2, n + 1):
-        prev = D[-1]
-        D.append([max(map(add, prev, col)) for col in cols])
-    best = None  # (p, q): the mean p / (q * den), with q > 0
-    for v in range(n):
-        worst = None
-        for m in range(n):
-            if D[m][v] is None:
-                continue
-            p, q = D[n][v] - D[m][v], n - m
-            if worst is None or p * worst[1] < worst[0] * q:
-                worst = (p, q)
-        if best is None or worst[0] * best[1] > best[0] * worst[1]:
-            best = worst
-    return Fraction(best[0], best[1] * den)
+    p, q = _karp(_int_array(A.nums, A.n))
+    return Fraction(p, q * A.den)
 
 
 @dataclass(frozen=True)
@@ -80,16 +95,18 @@ def spectral_data(A: TropicalMatrix) -> SpectralData:
     one representative node per critical class, deduplicated projectively.
     """
     _require_max_plus(A, "spectral_data")
-    lam = max_cycle_mean(A)
     n = A.n
-    Abar = A.shift(-lam)
-    S = kleene_star(Abar)
-    W, T = Abar.nums, S.nums
-    a, s = Abar.den, S.den  # Abar_ij + S_ji = 0, cross-multiplied
-    edges = {
-        (i, j) for i in range(n) for j in range(n) if W[i][j] * s + T[j][i] * a == 0
-    }
+    # Abar = A - lam is Wb = W q - p over q den, with |Wb| <= 2nM for
+    # M = max|W| since |lam| <= M, so its star sums stay within 4n^2 M
+    W = _int_array(A.nums, 4 * n * n)
+    p, q = _karp(W)
+    lam = Fraction(p, q * A.den)
+    Wb = W * q - p
+    S = _star(Wb, "positive")  # lambda-normalized: no positive cycle
+    src, dst = np.nonzero(Wb + S.T == 0)
+    edges = set(zip(src.tolist(), dst.tolist()))
     nodes = sorted({u for e in edges for u in e})
+    T, s = S.tolist(), q * A.den
     classes: list[tuple[int, ...]] = []
     placed: set[int] = set()
     for u in nodes:

@@ -13,6 +13,14 @@ entrywise on the Fraction entries, the cycle mean oracle enumerates every
 simple cycle, the eigenvector check evaluates the eigen-equation row by row,
 and the float Perron oracle runs linear-domain power iteration on exp(kA).
 
+The exact kernel oracles are the library's earlier pure-Python kernels, kept
+as differential references for its integer-array ones: a Floyd-Warshall star
+that runs every round before it looks for a bad cycle, Karp's table built one
+list per row, the Schur complement one row at a time, and the spectral data
+and candidate exponents composed from them with Fraction arithmetic.  Of the
+library's kernel code they share only `_find_bad_cycle`, so the divergence
+message and witness cycle come from the same walk on both sides.
+
 Besides the oracles, hadamard_lemma_check is a property check of the
 library's own spectral data under entrywise scaling.
 """
@@ -21,6 +29,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -32,10 +41,14 @@ from tropasym import (
     as_rational,
     float_point,
     max_cycle_mean,
+    normalize_projective,
     span_distance,
     spectral_data,
 )
+from tropasym.core import StarDivergenceError, _find_bad_cycle
 from tropasym.perron import FailedSample, PerronSample, PerronTrajectory
+from tropasym.schur import Candidate, SchurLevel, SchurReport
+from tropasym.spectral import SpectralData
 
 
 def _check_pair(A: TropicalMatrix, B: TropicalMatrix):
@@ -418,3 +431,161 @@ def random_matrix_rows(n: int, grid_step, entry_range, seed: int) -> TropicalMat
         for i in range(n)
     ]
     return TropicalMatrix.from_rows(rows, MAX_PLUS)
+
+
+def kleene_star_oracle(A: TropicalMatrix) -> TropicalMatrix:
+    """Kleene star by in-place Floyd-Warshall over Python-int numerators.
+
+    All n rounds run before the diagonal is checked, so on a divergent input
+    the entries may grow without bound; Python ints never wrap.
+    """
+    n = A.n
+    maximum = A.semiring == MAX_PLUS
+    W = [list(row) if maximum else [-x for x in row] for row in A.nums]
+    S = [row[:] for row in W]
+    for k in range(n):
+        Sk = S[k]
+        for i in range(n):
+            a = S[i][k]
+            S[i] = [x if x >= a + y else a + y for x, y in zip(S[i], Sk)]
+    for i in range(n):
+        if S[i][i] > 0:
+            cyc = _find_bad_cycle(W)
+            kind = "positive" if maximum else "negative"
+            where = "->".join(map(str, cyc + cyc[:1])) if cyc else f"through node {i}"
+            raise StarDivergenceError(f"Kleene star diverges: {kind} cycle {where}", cyc)
+        S[i][i] = 0
+    if not maximum:
+        S = [[-x for x in row] for row in S]
+    return TropicalMatrix(tuple(map(tuple, S)), A.den, A.semiring)
+
+
+def karp_oracle(A: TropicalMatrix) -> Fraction:
+    """Karp's maximum cycle mean with the table built one Python list per row."""
+    _require_max_plus(A, "karp_oracle")
+    n = A.n
+    W, den = A.nums, A.den
+    cols = list(zip(*W))
+    D = [[0] + [None] * (n - 1), W[0]]
+    for _ in range(2, n + 1):
+        prev = D[-1]
+        D.append([max(map(add, prev, col)) for col in cols])
+    best = None
+    for v in range(n):
+        worst = None
+        for m in range(n):
+            if D[m][v] is None:
+                continue
+            p, q = D[n][v] - D[m][v], n - m
+            if worst is None or p * worst[1] < worst[0] * q:
+                worst = (p, q)
+        if best is None or worst[0] * best[1] > best[0] * worst[1]:
+            best = worst
+    return Fraction(best[0], best[1] * den)
+
+
+def minplus_schur_oracle(A: TropicalMatrix, C) -> TropicalMatrix:
+    """Schur complement of C in the min-plus A, one output row at a time."""
+    assert A.semiring == MIN_PLUS
+    n = A.n
+    C = frozenset(C)
+    if not C:
+        return A
+    Ns = sorted(set(range(n)) - C)
+    Cs = sorted(C)
+    W, den = A.nums, A.den
+    Acc = TropicalMatrix(tuple(tuple(W[i][j] for j in Cs) for i in Cs), den, MIN_PLUS)
+    star = kleene_star_oracle(Acc)
+    f = den // star.den
+    star_cols = [[f * x for x in col] for col in zip(*star.nums)]
+    out_cols = [[W[c][j] for c in Cs] for j in Ns]
+    out = []
+    for i in Ns:
+        into = [W[i][c] for c in Cs]
+        through = [min(map(add, into, col)) for col in star_cols]
+        out.append(
+            [min(W[i][j], min(map(add, through, col))) for j, col in zip(Ns, out_cols)]
+        )
+    return TropicalMatrix(tuple(map(tuple, out)), den, MIN_PLUS)
+
+
+def spectral_data_oracle(A: TropicalMatrix) -> SpectralData:
+    """spectral_data on the oracle kernels, through the shifted matrix's star."""
+    _require_max_plus(A, "spectral_data_oracle")
+    lam = karp_oracle(A)
+    n = A.n
+    Abar = A.shift(-lam)
+    S = kleene_star_oracle(Abar)
+    W, T = Abar.nums, S.nums
+    a, s = Abar.den, S.den
+    edges = {
+        (i, j) for i in range(n) for j in range(n) if W[i][j] * s + T[j][i] * a == 0
+    }
+    nodes = sorted({u for e in edges for u in e})
+    classes = []
+    placed = set()
+    for u in nodes:
+        if u not in placed:
+            cls = tuple(v for v in nodes if T[u][v] + T[v][u] == 0)
+            placed.update(cls)
+            classes.append(cls)
+    gens = []
+    seen = set()
+    for cls in classes:
+        key = tuple(T[i][cls[0]] - T[0][cls[0]] for i in range(n))
+        if key not in seen:
+            seen.add(key)
+            gens.append(ProjectivePoint(tuple(Fraction(x, s) for x in key)))
+    return SpectralData(
+        lam=lam,
+        critical_nodes=frozenset(nodes),
+        critical_edges=frozenset(edges),
+        classes=tuple(classes),
+        generators=tuple(gens),
+    )
+
+
+def schur_sequence_oracle(B: TropicalMatrix) -> list[SchurLevel]:
+    """schur_sequence on the oracle kernels."""
+    assert B.semiring == MIN_PLUS
+    levels = []
+    current, node_map = B, tuple(range(B.n))
+    while True:
+        sd = spectral_data_oracle(current.negate())
+        lam = -sd.lam
+        classes = tuple(tuple(node_map[i] for i in cls) for cls in sd.classes)
+        levels.append(SchurLevel(current, node_map, lam, classes))
+        crit = sd.critical_nodes
+        if crit == set(range(current.n)):
+            break
+        survivors = [i for i in range(current.n) if i not in crit]
+        current = minplus_schur_oracle(current.shift(-lam), crit)
+        node_map = tuple(node_map[i] for i in survivors)
+    return levels
+
+
+def candidate_exponents_oracle(B: TropicalMatrix, normalization: str = "row") -> SchurReport:
+    """candidate_exponents on the oracle kernels, B_hat built entry by entry in Fractions."""
+    levels = schur_sequence_oracle(B)
+    removal_level = {
+        node: lv.eigenvalue for lv in levels for cls in lv.removed_classes for node in cls
+    }
+    n = B.n
+    ent = [
+        [
+            B.entries[i][j] - removal_level[i if normalization == "row" else j]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    b_hat = TropicalMatrix.from_rows(ent, MIN_PLUS)
+    star = kleene_star_oracle(b_hat)
+    cands = []
+    seen = set()
+    for j in range(n):
+        v = star.column(j)
+        tp = normalize_projective(tuple(-x for x in v))
+        if tp not in seen:
+            seen.add(tp)
+            cands.append(Candidate(v=v, tp_point=tp))
+    return SchurReport(levels=tuple(levels), b_hat=b_hat, candidates=tuple(cands))

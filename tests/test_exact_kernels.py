@@ -1,0 +1,176 @@
+"""Differential tests of the exact layer's integer-array kernels.
+
+Each kernel must equal its pure-Python oracle in _oracles exactly: the same
+TropicalMatrix, Fraction, SpectralData or SchurReport, and on a divergent
+input the same StarDivergenceError message and witness cycle.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from tropasym import (
+    MAX_PLUS,
+    MIN_PLUS,
+    StarDivergenceError,
+    TropicalMatrix,
+    candidate_exponents,
+    kleene_star,
+    max_cycle_mean,
+    minplus_schur,
+    schur_sequence,
+    spectral_data,
+)
+from tropasym.core import _int_array
+
+from _oracles import (
+    candidate_exponents_oracle,
+    karp_oracle,
+    kleene_star_oracle,
+    minplus_schur_oracle,
+    schur_sequence_oracle,
+    spectral_data_oracle,
+)
+
+SIZES = range(1, 41)
+
+
+def magnitude(A):
+    return max(abs(x) for row in A.nums for x in row)
+
+
+def outcome(f, *args):
+    """f's result, or the message and cycle of the StarDivergenceError it raised."""
+    try:
+        return f(*args)
+    except StarDivergenceError as exc:
+        return str(exc), exc.cycle
+
+
+def rational_matrix(n, rng):
+    """Max-plus entries p/d with d in {1, 2, 3, 4, 6} and |p/d| <= 10."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            d = rng.choice((1, 2, 3, 4, 6))
+            row.append(Fraction(rng.randint(-10 * d, 10 * d), d))
+        rows.append(row)
+    return TropicalMatrix.from_rows(rows)
+
+
+def normalized(A):
+    """A - lambda(A): no positive cycle, so its max-plus star converges."""
+    return A.shift(-karp_oracle(A))
+
+
+def matrices(seed):
+    """One raw and one lambda-normalized max-plus matrix per size in SIZES."""
+    rng = random.Random(seed)
+    for n in SIZES:
+        A = rational_matrix(n, rng)
+        yield A
+        yield normalized(A)
+
+
+@pytest.mark.parametrize("semiring", [MAX_PLUS, MIN_PLUS])
+def test_kleene_star_matches_oracle(semiring):
+    diverged = 0
+    for A in matrices(1):
+        if semiring == MIN_PLUS:
+            A = A.negate()
+        got = outcome(kleene_star, A)
+        assert got == outcome(kleene_star_oracle, A), A.n
+        diverged += isinstance(got, tuple)
+    assert 0 < diverged < 2 * len(SIZES)  # both outcomes exercised
+
+
+def test_max_cycle_mean_matches_oracle():
+    for A in matrices(2):
+        assert max_cycle_mean(A) == karp_oracle(A), A.n
+        assert max_cycle_mean(A.transpose()) == karp_oracle(A.transpose()), A.n
+
+
+def test_spectral_data_matches_oracle():
+    for A in matrices(3):
+        assert spectral_data(A) == spectral_data_oracle(A), A.n
+        B = A.transpose()
+        assert spectral_data(B) == spectral_data_oracle(B), A.n
+
+
+def test_minplus_schur_matches_oracle():
+    rng = random.Random(4)
+    diverged = 0
+    for A in matrices(5):
+        if A.n == 1:
+            continue
+        B = A.negate()
+        for _ in range(3):
+            C = set(rng.sample(range(A.n), rng.randint(1, A.n - 1)))
+            got = outcome(minplus_schur, B, C)
+            assert got == outcome(minplus_schur_oracle, B, C), (A.n, C)
+            diverged += isinstance(got, tuple)
+    assert diverged > 0
+
+
+def test_candidate_exponents_matches_oracle():
+    completed = 0
+    for A in matrices(6):
+        B = A.negate()
+        assert schur_sequence(B) == schur_sequence_oracle(B), A.n
+        for normalization in ("row", "column") if A.n <= 20 else ("row",):
+            got = outcome(candidate_exponents, B, normalization)
+            assert got == outcome(candidate_exponents_oracle, B, normalization), A.n
+            completed += not isinstance(got, tuple)
+    assert completed > 0
+
+
+def test_int64_guard_both_sides():
+    """Numerators just inside int64's guard and well past it give oracle results."""
+    rng = random.Random(7)
+    n = 4
+    # den 3^33: numerators near 2^55, so spectral_data's 4n^2 M sits near 2^61
+    below = TropicalMatrix.from_rows(
+        [[Fraction(rng.randint(-8 * 3**33, 8 * 3**33), 3**33) for _ in range(n)] for _ in range(n)]
+    )
+    above = TropicalMatrix.from_rows(
+        [[Fraction(rng.randint(-8 * 3**40, 8 * 3**40), 3**40) for _ in range(n)] for _ in range(n)]
+    )
+    offset = rational_matrix(n, rng).shift(2**70)
+    assert 2**60 < 4 * n * n * magnitude(below) < 2**62 <= magnitude(above)
+    assert _int_array(below.nums, 4 * n * n).dtype == np.int64
+    assert _int_array(above.nums, 1).dtype == object
+    for A in (below, above, offset):
+        for X in (A, normalized(A)):
+            assert outcome(kleene_star, X) == outcome(kleene_star_oracle, X)
+            assert outcome(kleene_star, X.negate()) == outcome(kleene_star_oracle, X.negate())
+            assert outcome(minplus_schur, X.negate(), {0, 2}) == outcome(
+                minplus_schur_oracle, X.negate(), {0, 2}
+            )
+        assert max_cycle_mean(A) == karp_oracle(A)
+        assert spectral_data(A) == spectral_data_oracle(A)
+        assert outcome(candidate_exponents, A.negate()) == outcome(
+            candidate_exponents_oracle, A.negate()
+        )
+
+
+def test_divergent_star_near_guard_raises_like_oracle():
+    """Every edge among nodes 30..39 is positive, every other one negative, so
+    the first bad pivot is node 30.  A full Floyd-Warshall pass would then
+    double the entries in each of the last ten rounds, past 2^64; the early
+    exit raises before any sum outgrows 2nM."""
+    n = 40
+    rng = random.Random(8)
+    M = 2**55  # 2nM = 80 * 2^55 < 2^62, so the star runs in int64
+    rows = [
+        [rng.randint(M // 2, M) if min(i, j) >= 30 else rng.randint(-M, -M // 2) for j in range(n)]
+        for i in range(n)
+    ]
+    A = TropicalMatrix.from_rows(rows)
+    assert _int_array(A.nums, 2 * n).dtype == np.int64
+    for X in (A, A.negate()):
+        got = outcome(kleene_star, X)
+        assert isinstance(got, tuple)
+        assert got == outcome(kleene_star_oracle, X)
