@@ -30,11 +30,33 @@ MIN_PLUS = "min-plus"
 
 
 class StarDivergenceError(ValueError):
-    """Kleene star does not converge (positive max-plus / negative min-plus cycle)."""
+    """Kleene star does not converge (positive max-plus / negative min-plus cycle).
 
-    def __init__(self, message: str, cycle: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.cycle = cycle
+    Holds the max-plus integer array W whose star diverged, the cycle's kind
+    ("positive", or "negative" for a negated min-plus matrix) and the pivot
+    node k at which the pass stopped.  The witness `cycle` is named by
+    `_find_bad_cycle(W)` when it or the message is first read, so a caller
+    that catches the error and moves on never pays for it.
+    """
+
+    def __init__(self, kind: str, W: np.ndarray, k: int):
+        super().__init__()
+        self._kind, self._W, self._k = kind, W, k
+
+    @cached_property
+    def cycle(self) -> tuple[int, ...]:
+        return _find_bad_cycle(self._W.tolist())
+
+    def __str__(self) -> str:
+        cyc = self.cycle
+        where = "->".join(map(str, cyc + cyc[:1])) if cyc else f"through node {self._k}"
+        return f"Kleene star diverges: {self._kind} cycle {where}"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+    def __reduce__(self):
+        return type(self), (self._kind, self._W, self._k)
 
 
 def as_rational(value) -> Fraction:
@@ -180,9 +202,7 @@ def _star(W: np.ndarray, kind: str) -> np.ndarray:
     S = W.copy()
     for k in range(n):
         if S[k, k] > 0:
-            cyc = _find_bad_cycle(W.tolist())
-            where = "->".join(map(str, cyc + cyc[:1])) if cyc else f"through node {k}"
-            raise StarDivergenceError(f"Kleene star diverges: {kind} cycle {where}", cyc)
+            raise StarDivergenceError(kind, W, k)
         np.maximum(S, S[:, k, None] + S[k], out=S)
     S.flat[:: n + 1] = 0  # identity term: the empty path
     return S

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -85,6 +86,7 @@ class SpectralData:
         }
 
 
+@lru_cache(maxsize=8)
 def spectral_data(A: TropicalMatrix) -> SpectralData:
     """Eigenvalue, critical edges/nodes/classes, and deduplicated generators.
 
@@ -93,6 +95,10 @@ def spectral_data(A: TropicalMatrix) -> SpectralData:
     Critical nodes i and j share a class (a strongly connected component of
     the critical graph) iff S_ij + S_ji = 0.  Generators are star columns at
     one representative node per critical class, deduplicated projectively.
+
+    The last 8 records are kept, keyed by the matrix (whose `==` and `hash`
+    compare the rational entries), so a caller and the Schur level 0 of
+    `candidate_exponents(A.negate())` solve A once.
     """
     _require_max_plus(A, "spectral_data")
     n = A.n

@@ -18,8 +18,8 @@ as differential references for its integer-array ones: a Floyd-Warshall star
 that runs every round before it looks for a bad cycle, Karp's table built one
 list per row, the Schur complement one row at a time, and the spectral data
 and candidate exponents composed from them with Fraction arithmetic.  Of the
-library's kernel code they share only `_find_bad_cycle`, so the divergence
-message and witness cycle come from the same walk on both sides.
+library's kernel code they share only `StarDivergenceError`, so the
+divergence message and witness cycle come from the same walk on both sides.
 
 Besides the oracles, hadamard_lemma_check is a property check of the
 library's own spectral data under entrywise scaling.
@@ -45,7 +45,7 @@ from tropasym import (
     span_distance,
     spectral_data,
 )
-from tropasym.core import StarDivergenceError, _find_bad_cycle
+from tropasym.core import StarDivergenceError
 from tropasym.perron import FailedSample, PerronSample, PerronTrajectory
 from tropasym.schur import Candidate, SchurLevel, SchurReport
 from tropasym.spectral import SpectralData
@@ -450,10 +450,8 @@ def kleene_star_oracle(A: TropicalMatrix) -> TropicalMatrix:
             S[i] = [x if x >= a + y else a + y for x, y in zip(S[i], Sk)]
     for i in range(n):
         if S[i][i] > 0:
-            cyc = _find_bad_cycle(W)
             kind = "positive" if maximum else "negative"
-            where = "->".join(map(str, cyc + cyc[:1])) if cyc else f"through node {i}"
-            raise StarDivergenceError(f"Kleene star diverges: {kind} cycle {where}", cyc)
+            raise StarDivergenceError(kind, np.array(W, dtype=object), i)
         S[i][i] = 0
     if not maximum:
         S = [[-x for x in row] for row in S]

@@ -324,6 +324,17 @@ class TestSchurCommand:
             assert cand["in_eigenspace"] is True
             assert cand["matches_pinf"] is False
 
+    def test_solves_a_once(self, spectral_runs, capsys):
+        code, _, _ = run(["schur", "--matrix", CEX, "--doublings", "6"], capsys)
+        assert code == 0
+        assert spectral_runs.count(TropicalMatrix.from_rows(json.loads(CEX))) == 1
+
+    def test_divergent_star_is_an_input_error(self, capsys):
+        matrix = '[["0","0","1/2"],["-11/2","0","-2"],["2","3/2","0"]]'
+        code, out, err = run(["schur", "--matrix", matrix], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: Kleene star diverges: negative cycle 1->1\n"
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]

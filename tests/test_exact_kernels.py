@@ -2,9 +2,13 @@
 
 Each kernel must equal its pure-Python oracle in _oracles exactly: the same
 TropicalMatrix, Fraction, SpectralData or SchurReport, and on a divergent
-input the same StarDivergenceError message and witness cycle.
+input the same StarDivergenceError message and witness cycle.  The error
+names that witness only when it is read, and spectral_data solves an input
+once while its record is cached.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -23,6 +27,7 @@ from tropasym import (
     schur_sequence,
     spectral_data,
 )
+from tropasym import core
 from tropasym.core import _int_array
 
 from _oracles import (
@@ -174,3 +179,67 @@ def test_divergent_star_near_guard_raises_like_oracle():
         got = outcome(kleene_star, X)
         assert isinstance(got, tuple)
         assert got == outcome(kleene_star_oracle, X)
+
+
+# min-plus; its b_hat star diverges on the self-loop at node 1
+DIVERGENT = TropicalMatrix.from_rows(
+    [["0", "0", "1/2"], ["-11/2", "0", "-2"], ["2", "3/2", "0"]]
+).negate()
+MESSAGE = "Kleene star diverges: negative cycle 1->1"
+
+
+def test_witness_named_on_first_read(monkeypatch):
+    calls = []
+    find = core._find_bad_cycle
+
+    def counting(W):
+        calls.append(W)
+        return find(W)
+
+    monkeypatch.setattr(core, "_find_bad_cycle", counting)
+    with pytest.raises(StarDivergenceError) as info:
+        candidate_exponents(DIVERGENT)
+    assert calls == []  # caught and dropped: no witness named
+    exc = info.value
+    assert [str(exc), str(exc)] == [MESSAGE, MESSAGE]
+    assert exc.cycle == exc.cycle == (1,)
+    assert len(calls) == 1
+
+
+def test_witness_survives_pickle_and_copy():
+    with pytest.raises(StarDivergenceError) as info:
+        candidate_exponents(DIVERGENT)
+    # no positive cycle to walk back to: the message falls back on the pivot
+    fallback = StarDivergenceError("positive", np.array([[0, -1], [-1, 0]]), 1)
+    for exc in (info.value, fallback):
+        for clone in (pickle.loads(pickle.dumps(exc)), copy.copy(exc), copy.deepcopy(exc)):
+            assert type(clone) is StarDivergenceError
+            assert (str(clone), clone.cycle) == (str(exc), exc.cycle)
+    assert (str(info.value), info.value.cycle) == (MESSAGE, (1,))
+    assert repr(info.value) == f"StarDivergenceError({MESSAGE!r})"
+    assert (str(fallback), fallback.cycle) == ("Kleene star diverges: positive cycle through node 1", ())
+
+
+class TestSpectralDataCache:
+    def test_level_zero_reuses_the_callers_record(self, spectral_runs):
+        A = DIVERGENT.negate()
+        sd = spectral_data(A)
+        levels = schur_sequence(A.negate())
+        assert spectral_runs.count(A) == 1
+        assert -levels[0].eigenvalue == sd.lam
+        with pytest.raises(StarDivergenceError):
+            candidate_exponents(A.negate())
+        assert spectral_runs.count(A) == 1
+
+    def test_equal_matrices_share_one_entry(self, spectral_runs):
+        A = TropicalMatrix.from_rows([["0", "1/2"], ["-1", "0"]])
+        B = TropicalMatrix(((0, 2), (-4, 0)), 4)  # reduced to A's numerators over 2
+        assert A is not B and A == B
+        assert spectral_data(A) is spectral_data(B)
+        assert spectral_runs == [A]
+
+    def test_min_plus_input_raises_every_call(self, spectral_runs):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="requires a max-plus matrix"):
+                spectral_data(DIVERGENT)
+        assert spectral_runs == []
