@@ -12,7 +12,10 @@ log Perron root.  Three ingredients make the iteration practical across the
 whole k range:
 
 * a lazy (averaged) step, which removes the oscillatory near-(-rho) mode that
-  a dominant 2-cycle would otherwise leave undamped;
+  a dominant 2-cycle would otherwise leave undamped.  Each sample takes one
+  such step from its start point; if that step certifies the start point the
+  sample is accepted there, and otherwise the step's result goes on to the
+  accelerator, after which lazy steps only polish;
 * an accelerator that squares the log-domain matrix (logsumexp matrix
   products), applying 2^t power-iteration steps at once, which is what closes
   the k-window where the spectral gap of exp(kA) is tiny but the structure is
@@ -151,58 +154,30 @@ class _Member:
     def __init__(self, y: np.ndarray):
         self.it, self.res, self.y, self.s = 0, math.inf, y, 0.0
 
+    def record(self, y: np.ndarray, s: float, res: float) -> None:
+        """Count one step from y and keep y if its residual is the best yet."""
+        self.it += 1
+        if res < self.res:
+            self.res, self.y, self.s = res, y, s
 
-def _take(kA: np.ndarray, Y, rows: Sequence[int]):
-    """The stack's rows and their points; a lone row as its 2-D matrix and a 1-tuple."""
-    if len(rows) == 1:
-        return kA[rows[0]], (Y[rows[0]],)
-    return kA[rows], Y[rows]
 
+def _lazy_phase(kA, y, mb, k, tol, max_iter, budget):
+    """Polishing lazy steps for one matrix from y while they genuinely contract.
 
-def _lazy_phase(kA, Y, members, k, tol, max_iter, budget):
-    """Lazy steps for a stack while each member is genuinely contracting.
-
-    kA (m, n, n) and the start points Y (m, n) line up with `members`, each
-    of which has iterations left.  A member leaves the stack when a residual
-    certifies its pre-step point, when it stalls, or when it spends max_iter;
-    everyone left leaves when the shared budget runs out.  Returns, per
-    member, the point to continue from, or None once certified.  A lone
-    member takes the 2-D step, which costs less per call than a stack of one.
+    Stops when a residual certifies its pre-step point, when the residual
+    stalls, or when the budget or max_iter runs out; mb keeps the best point.
     """
-    out: list[np.ndarray | None] = [None] * len(members)
-    live = [(p, mb, []) for p, mb in enumerate(members)]
-    kA, Y = _take(kA, Y, range(len(members)))
-    while live and budget > 0:
-        if kA.ndim == 2:
-            ynew, s, res = _lazy_step(kA, Y[0], k)
-            Ynew, S, R = (ynew,), (s,), (res,)
-        else:
-            Ynew, S, R = _lazy_steps(kA, Y, k)
+    history = []
+    while budget > 0 and mb.it < max_iter:
+        ynew, s, res = _lazy_step(kA, y, k)
         budget -= 1
-        gone = []
-        for q, (p, mb, history) in enumerate(live):
-            res = R[q]
-            mb.it += 1
-            if res < mb.res:
-                mb.res, mb.y, mb.s = res, Y[q], S[q]
-            if res < tol:
-                gone.append(q)
-                continue
-            history.append(res)
-            if (
-                len(history) > _STALL_WINDOW and res > 0.75 * history[-_STALL_WINDOW]
-            ) or mb.it >= max_iter:
-                out[p] = Ynew[q]
-                gone.append(q)
-        if gone:
-            keep = [q for q in range(len(live)) if q not in gone]
-            live = [live[q] for q in keep]
-            if keep:
-                kA, Ynew = _take(kA, Ynew, keep)
-        Y = Ynew
-    for q, (p, _, _) in enumerate(live):
-        out[p] = Y[q]
-    return out
+        mb.record(y, s, res)
+        if res < tol:
+            return
+        history.append(res)
+        if len(history) > _STALL_WINDOW and res > 0.75 * history[-_STALL_WINDOW]:
+            return
+        y = ynew
 
 
 def _accelerate(kA: np.ndarray, y: np.ndarray, mb: _Member, max_iter: int) -> np.ndarray:
@@ -244,23 +219,26 @@ def _solve(kA: np.ndarray, k: float, tol: float, max_iter: int, Y0: np.ndarray |
     """Core solver for a (m, n, n) stack of k*A, started from Y0 (m, n) or 0.
 
     Returns one (log_rho, y, residual, iterations, converged) per member.
-    The lazy phase advances the whole stack; a member it leaves uncertified
-    goes alone through the accelerator and a polishing lazy phase, which
-    keeps whichever of the two phases' iterates certifies the smaller
-    residual.
+    Certify or accelerate: one lazy step, stacked across the members, tests
+    every start point.  A member whose start point it certifies is accepted
+    there.  Every other member goes alone from the stepped point through the
+    accelerator and then a polishing lazy phase, and keeps whichever point
+    certifies the smallest residual.
     """
     m, n = kA.shape[:2]
     if n == 1:
         return [(float(kA[i, 0, 0]), np.zeros(1), 0.0, 0, True) for i in range(m)]
     Y = np.zeros((m, n)) if Y0 is None else Y0
-    members = [_Member(Y[i]) for i in range(m)]
-    starts = _lazy_phase(kA, Y, members, k, tol, max_iter, 2000)
-    for i, (mb, y) in enumerate(zip(members, starts)):
-        if y is not None:
-            x = _accelerate(kA[i], y, mb, max_iter)
-            if mb.it < max_iter:
-                _lazy_phase(kA[i : i + 1], x[None], [mb], k, tol, max_iter, 400)
-    return [(mb.s, mb.y, mb.res, mb.it, mb.res < tol) for mb in members]
+    Ynew, S, R = _lazy_steps(kA, Y, k)
+    out = []
+    for i in range(m):
+        mb = _Member(Y[i])
+        mb.record(Y[i], S[i], R[i])
+        if mb.res >= tol:
+            x = _accelerate(kA[i], Ynew[i], mb, max_iter)
+            _lazy_phase(kA[i], x, mb, k, tol, max_iter, 400)
+        out.append((mb.s, mb.y, mb.res, mb.it, mb.res < tol))
+    return out
 
 
 def _check_limits(tol: float, max_iter: int) -> None:
@@ -417,8 +395,9 @@ def normalized_trajectories(
 ) -> list[PerronTrajectory]:
     """normalized_trajectory of every matrix in a stack of same-size matrices.
 
-    The members are solved together, one array step for all of them, and
-    each result equals normalized_trajectory of that member alone.
+    At each k, one array step tests every member's start point at once;
+    members it leaves uncertified are accelerated and polished one at a
+    time.  Each result equals normalized_trajectory of that member alone.
     """
     mats = [_as_matrix(A) for A in stack]
     if not mats:

@@ -345,7 +345,7 @@ def _lse_rows(B):
 
 
 def _solve_one(kA, k, tol, max_iter, y0):
-    """The Perron solver on one matrix: lazy phase, squaring, polishing phase.
+    """The Perron solver on one matrix: one lazy step, squaring, polishing phase.
 
     Returns (log_rho, y, residual, iterations, converged) after the same float
     operations in the same order as the library's solver, so a stack member's
@@ -378,7 +378,8 @@ def _solve_one(kA, k, tol, max_iter, y0):
             y = ynew
         return y, False
 
-    y, done = lazy_phase(y, 2000)
+    # certify the start point, or accelerate from the point one step on
+    y, done = lazy_phase(y, 1)
     if not done:
         u = _lse_rows(kA + y[None, :])
         c0 = float((u - y).min()) - math.log(n) - 1.0
