@@ -30,7 +30,6 @@ from .perron import (
     estimate_p_infinity,
     geometric_schedule,
     log_perron_eigenpair,
-    normalized_trajectories,
     normalized_trajectory,
     row_coupling_mass,
     trajectory_csv,
@@ -48,7 +47,6 @@ from .conjectures import (
     ConjectureVerdict,
     TranslationChain,
     conjecture1_test,
-    conjecture1_tests,
     conjecture2_test,
     eigenspace_preserving_perturbations,
     export_samples,

@@ -197,20 +197,21 @@ def cmd_conjectures(args) -> int:
     rng = random.Random(args.seed)
     report: dict = {"seed": args.seed}
 
-    # trajectories draw no randomness, so collecting the chain matrices
-    # before solving them consumes rng in the same order
-    chains = []
+    chains, c1_verdicts = [], []
     attempts = 0
     while len(chains) < args.chains and attempts < args.max_attempts:
         attempts += 1
         A = conj.random_matrix(3, grid_step=args.grid_step, seed=rng)
         gens = spectral_data(A).generators
-        if len(gens) >= 2 and conj.translation_chain(gens) is not None:
-            chains.append(A)
-    c1_verdicts = conj.conjecture1_tests(
-        chains, tol=args.match_tol, schedule=schedule,
-        solver_tol=args.tol, max_iter=args.max_iter,
-    )
+        if len(gens) < 2 or conj.translation_chain(gens) is None:
+            continue
+        chains.append(A)
+        c1_verdicts.append(
+            conj.conjecture1_test(
+                A, tol=args.match_tol, schedule=schedule,
+                solver_tol=args.tol, max_iter=args.max_iter,
+            )
+        )
     report["conjecture1"] = _verdict_summary(c1_verdicts)
 
     bases, c2_verdicts = [], []

@@ -31,7 +31,7 @@ from .perron import (
     EstimateError,
     PinfEstimate,
     estimate_p_infinity,
-    normalized_trajectories,
+    normalized_trajectory,
 )
 from .spectral import (
     SpectralData,
@@ -89,17 +89,15 @@ def translation_chain(gens: Sequence[ProjectivePoint]) -> TranslationChain | Non
 def _estimates(family, gens, schedule, tol, max_iter) -> tuple[PinfEstimate, ...]:
     """Estimate each member's limit, with the eigenspace-membership safety net.
 
-    The members' trajectories are solved as one stack.  Every measured limit
+    Each member's trajectory is solved on its own.  Every measured limit
     must sit on the tropical eigenspace spanned by the member's generators
     `gens[i]` to within 10 * error_bound + 1e-3; a violation means the
     numerics went wrong and is raised rather than silently folded into a
     verdict.
     """
-    trajs = normalized_trajectories(
-        [M.to_floats() for M in family], schedule, tol=tol, max_iter=max_iter
-    )
     estimates = []
-    for traj, g in zip(trajs, gens):
+    for M, g in zip(family, gens):
+        traj = normalized_trajectory(M.to_floats(), schedule, tol=tol, max_iter=max_iter)
         est = estimate_p_infinity(traj)
         dist = span_distance(list(est.point.coords), [x.to_floats() for x in g])
         if dist > 10.0 * est.error_bound + 1e-3:
@@ -119,44 +117,25 @@ def conjecture1_test(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> ConjectureVerdict:
     """Chain prediction vs measured limit; rejects matrices without a chain."""
-    return conjecture1_tests([A], tol, schedule, solver_tol, max_iter)[0]
-
-
-def conjecture1_tests(
-    matrices: Sequence[TropicalMatrix],
-    tol: float,
-    schedule: Sequence[float],
-    solver_tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> list[ConjectureVerdict]:
-    """conjecture1_test of each same-size matrix, trajectories solved as one stack."""
-    if not matrices:
-        return []
-    spectra = [spectral_data(A) for A in matrices]
-    chains = [translation_chain(sd.generators) for sd in spectra]
-    if any(chain is None for chain in chains):
+    sd = spectral_data(A)
+    chain = translation_chain(sd.generators)
+    if chain is None:
         raise ValueError("eigenspace is not a translation chain")
-    gens = [sd.generators for sd in spectra]
-    estimates = _estimates(matrices, gens, schedule, solver_tol, max_iter)
-    verdicts = []
-    for A, sd, chain, est in zip(matrices, spectra, chains, estimates):
-        predicted = [float(x) for x in chain.predicted.coords]
-        dist = max(abs(a - b) for a, b in zip(predicted, est.point.coords))
-        verdicts.append(
-            ConjectureVerdict(
-                holds=dist <= tol,
-                witness={
-                    "matrix": [[str(x) for x in row] for row in A.entries],
-                    "predicted": predicted,
-                    "pinf": list(est.point.coords),
-                    "distance": dist,
-                    "error_bound": est.error_bound,
-                },
-                estimates=(est,),
-                spectra=(sd,),
-            )
-        )
-    return verdicts
+    [est] = _estimates([A], [sd.generators], schedule, solver_tol, max_iter)
+    predicted = [float(x) for x in chain.predicted.coords]
+    dist = max(abs(a - b) for a, b in zip(predicted, est.point.coords))
+    return ConjectureVerdict(
+        holds=dist <= tol,
+        witness={
+            "matrix": [[str(x) for x in row] for row in A.entries],
+            "predicted": predicted,
+            "pinf": list(est.point.coords),
+            "distance": dist,
+            "error_bound": est.error_bound,
+        },
+        estimates=(est,),
+        spectra=(sd,),
+    )
 
 
 def eigenspace_preserving_perturbations(

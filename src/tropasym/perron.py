@@ -92,9 +92,9 @@ def _as_matrix(A) -> np.ndarray:
 
 
 def _lse_rows(B: np.ndarray) -> np.ndarray:
-    """logsumexp over the last axis, for one matrix or a stack."""
-    m = _max(B, axis=-1, keepdims=True)
-    return m[..., 0] + np.log(_sum(np.exp(B - m), axis=-1))
+    """logsumexp of each row of a matrix."""
+    m = _max(B, axis=1, keepdims=True)
+    return m[:, 0] + np.log(_sum(np.exp(B - m), axis=1))
 
 
 def _log_matmul(B: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -131,19 +131,6 @@ def _lazy_step(kA: np.ndarray, y: np.ndarray, k: float):
     res = float(_max(np.abs(u - u0 - y), axis=None)) / k
     z = np.logaddexp(u, u0 + y) - _LOG2
     return z - z[0], u0, res
-
-
-def _lazy_steps(kA: np.ndarray, Y: np.ndarray, k: float):
-    """_lazy_step for each member of a (m, n, n) stack at the points Y (m, n).
-
-    Every member takes _lazy_step's float operations in the same order, so
-    each row of the result equals its one-matrix step bit for bit.
-    """
-    U = _lse_rows(kA + Y[:, None, :])
-    U0 = U[:, :1]
-    res = _max(np.abs(U - U0 - Y), axis=1) / k
-    Z = np.logaddexp(U, U0 + Y) - _LOG2
-    return Z - Z[:, :1], U[:, 0].tolist(), res.tolist()
 
 
 class _Member:
@@ -215,30 +202,26 @@ def _accelerate(kA: np.ndarray, y: np.ndarray, mb: _Member, max_iter: int) -> np
     return x
 
 
-def _solve(kA: np.ndarray, k: float, tol: float, max_iter: int, Y0: np.ndarray | None):
-    """Core solver for a (m, n, n) stack of k*A, started from Y0 (m, n) or 0.
+def _solve(kA: np.ndarray, k: float, tol: float, max_iter: int, y0: np.ndarray | None):
+    """Core solver for one k*A, started from y0 or 0.
 
-    Returns one (log_rho, y, residual, iterations, converged) per member.
-    Certify or accelerate: one lazy step, stacked across the members, tests
-    every start point.  A member whose start point it certifies is accepted
-    there.  Every other member goes alone from the stepped point through the
-    accelerator and then a polishing lazy phase, and keeps whichever point
-    certifies the smallest residual.
+    Returns (log_rho, y, residual, iterations, converged).  Certify or
+    accelerate: one lazy step tests the start point, which is accepted if
+    that step certifies it.  Otherwise the stepped point goes through the
+    accelerator and then a polishing lazy phase, and the solver keeps
+    whichever point certifies the smallest residual.
     """
-    m, n = kA.shape[:2]
+    n = kA.shape[0]
     if n == 1:
-        return [(float(kA[i, 0, 0]), np.zeros(1), 0.0, 0, True) for i in range(m)]
-    Y = np.zeros((m, n)) if Y0 is None else Y0
-    Ynew, S, R = _lazy_steps(kA, Y, k)
-    out = []
-    for i in range(m):
-        mb = _Member(Y[i])
-        mb.record(Y[i], S[i], R[i])
-        if mb.res >= tol:
-            x = _accelerate(kA[i], Ynew[i], mb, max_iter)
-            _lazy_phase(kA[i], x, mb, k, tol, max_iter, 400)
-        out.append((mb.s, mb.y, mb.res, mb.it, mb.res < tol))
-    return out
+        return float(kA[0, 0]), np.zeros(1), 0.0, 0, True
+    y = np.zeros(n) if y0 is None else y0
+    mb = _Member(y)
+    ynew, s, res = _lazy_step(kA, y, k)
+    mb.record(y, s, res)
+    if res >= tol:
+        x = _accelerate(kA, ynew, mb, max_iter)
+        _lazy_phase(kA, x, mb, k, tol, max_iter, 400)
+    return mb.s, mb.y, mb.res, mb.it, mb.res < tol
 
 
 def _check_limits(tol: float, max_iter: int) -> None:
@@ -266,7 +249,7 @@ def log_perron_eigenpair(
     if not (math.isfinite(k) and k > 0):
         raise ValueError("k must be finite and positive")
     _check_limits(tol, max_iter)
-    [(s, y, res, it, ok)] = _solve(k * M[None], float(k), tol, max_iter, None)
+    s, y, res, it, ok = _solve(k * M, float(k), tol, max_iter, None)
     if not ok:
         raise ConvergenceError(res, it)
     return s, float_point(y), res, it
@@ -384,27 +367,7 @@ def normalized_trajectory(
     failure rather than aborting the run, but its iterate still seeds the
     next sample.
     """
-    return normalized_trajectories([A], k_schedule, tol, max_iter)[0]
-
-
-def normalized_trajectories(
-    stack,
-    k_schedule: Sequence[float],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> list[PerronTrajectory]:
-    """normalized_trajectory of every matrix in a stack of same-size matrices.
-
-    At each k, one array step tests every member's start point at once;
-    members it leaves uncertified are accelerated and polished one at a
-    time.  Each result equals normalized_trajectory of that member alone.
-    """
-    mats = [_as_matrix(A) for A in stack]
-    if not mats:
-        raise ValueError("stack must be non-empty")
-    if any(M.shape != mats[0].shape for M in mats):
-        raise ValueError("stack members must have the same size")
-    S = np.array(mats)
+    M = _as_matrix(A)
     ks = [float(k) for k in k_schedule]
     if not ks:
         raise ValueError("schedule must be non-empty")
@@ -413,33 +376,26 @@ def normalized_trajectories(
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("schedule must be strictly increasing")
     _check_limits(tol, max_iter)
-    samples: list[list[PerronSample]] = [[] for _ in mats]
-    failures: list[list[FailedSample]] = [[] for _ in mats]
-    Y = None
-    kprev = None
+    samples: list[PerronSample] = []
+    failures: list[FailedSample] = []
+    y = kprev = None
     for k in ks:
-        Y0 = None if Y is None else Y * (k / kprev)
-        results = _solve(k * S, k, tol, max_iter, Y0)
-        Y, kprev = np.array([r[1] for r in results]), k
-        for (s, yout, res, it, ok), member_samples, member_failures in zip(
-            results, samples, failures
-        ):
-            if ok:
-                member_samples.append(
-                    PerronSample(
-                        k=k,
-                        log_rho_over_k=s / k,
-                        point=float_point(yout / k),
-                        residual=res,
-                        iterations=it,
-                    )
+        y0 = None if y is None else y * (k / kprev)
+        s, y, res, it, ok = _solve(k * M, k, tol, max_iter, y0)
+        kprev = k
+        if ok:
+            samples.append(
+                PerronSample(
+                    k=k,
+                    log_rho_over_k=s / k,
+                    point=float_point(y / k),
+                    residual=res,
+                    iterations=it,
                 )
-            else:
-                member_failures.append(FailedSample(k=k, residual=res, iterations=it))
-    return [
-        PerronTrajectory(samples=tuple(a), failures=tuple(b))
-        for a, b in zip(samples, failures)
-    ]
+            )
+        else:
+            failures.append(FailedSample(k=k, residual=res, iterations=it))
+    return PerronTrajectory(samples=tuple(samples), failures=tuple(failures))
 
 
 def _doubling_pairs(samples: Sequence[PerronSample]):

@@ -348,7 +348,7 @@ def _solve_one(kA, k, tol, max_iter, y0):
     """The Perron solver on one matrix: one lazy step, squaring, polishing phase.
 
     Returns (log_rho, y, residual, iterations, converged) after the same float
-    operations in the same order as the library's solver, so a stack member's
+    operations in the same order as the library's solver, so the library's
     sample must equal this one bit for bit.
     """
     n = kA.shape[0]

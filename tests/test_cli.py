@@ -259,27 +259,54 @@ class TestConjecturesCommand:
 
         import tropasym.cli
         import tropasym.conjectures
-        from tropasym.perron import normalized_trajectories, normalized_trajectory
+        from tropasym.perron import normalized_trajectory
 
         solved = []
 
-        def counting_stack(stack, *args, **kwargs):
-            solved.extend(np.asarray(A, dtype=float).tobytes() for A in stack)
-            return normalized_trajectories(stack, *args, **kwargs)
-
-        def counting_single(A, *args, **kwargs):
+        def counting(A, *args, **kwargs):
             solved.append(np.asarray(A, dtype=float).tobytes())
             return normalized_trajectory(A, *args, **kwargs)
 
-        # the conjecture tests solve stacks; the CLI must not solve again
-        monkeypatch.setattr(tropasym.conjectures, "normalized_trajectories", counting_stack)
-        monkeypatch.setattr(tropasym.cli, "normalized_trajectory", counting_single)
+        # the conjecture tests solve the trajectories; the CLI must not solve again
+        monkeypatch.setattr(tropasym.conjectures, "normalized_trajectory", counting)
+        monkeypatch.setattr(tropasym.cli, "normalized_trajectory", counting)
         ds = tmp_path / "g.jsonl"
         code, _, _ = run(self.ARGS + ["--seed", "42", "--dataset", str(ds)], capsys)
         assert code == 0
         # chains + families * (perturbations + 1) = 2 + 1 * (2 + 1) matrices
         assert len(solved) == 5
         assert len(set(solved)) == 5
+
+    def test_chain_spectra_come_from_the_filter_cache(self, tmp_path, monkeypatch, capsys):
+        import tropasym.conjectures
+        from tropasym.spectral import spectral_data as cached
+
+        in_test, lookups = False, []
+
+        def recording(A):
+            hits = cached.cache_info().hits
+            sd = cached(A)
+            if in_test:
+                lookups.append(cached.cache_info().hits > hits)
+            return sd
+
+        conjecture1_test = tropasym.conjectures.conjecture1_test
+
+        def flagged(*args, **kwargs):
+            nonlocal in_test
+            in_test = True
+            try:
+                return conjecture1_test(*args, **kwargs)
+            finally:
+                in_test = False
+
+        # each chain is tested right after the CLI's filter computed its spectrum
+        monkeypatch.setattr(tropasym.conjectures, "spectral_data", recording)
+        monkeypatch.setattr(tropasym.conjectures, "conjecture1_test", flagged)
+        ds = tmp_path / "g.jsonl"
+        code, _, _ = run(self.ARGS + ["--seed", "42", "--dataset", str(ds)], capsys)
+        assert code == 0
+        assert lookups == [True, True]
 
     def test_dataset_rows_reuse_the_verdicts_spectra(self, tmp_path, monkeypatch, capsys):
         import tropasym.cli

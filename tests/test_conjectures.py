@@ -9,7 +9,6 @@ from tropasym import (
     ProjectivePoint,
     TropicalMatrix,
     conjecture1_test,
-    conjecture1_tests,
     conjecture2_test,
     eigenspace_equal,
     eigenspace_preserving_perturbations,
@@ -86,22 +85,6 @@ class TestConjecture1:
     def test_non_chain_rejected(self):
         with pytest.raises(ValueError):
             conjecture1_test(FIG4, tol=1e-2, schedule=SCHEDULE)
-
-    def test_batch_equals_single(self):
-        single = TropicalMatrix.from_rows([[0, -3, -2], [1, 0, -1], [2, 1, 0]])
-        chains = [FIG7, single]
-        rng = random.Random(5)
-        while len(chains) < 6:
-            A = random_matrix(3, seed=rng)
-            if translation_chain(spectral_data(A).generators) is not None:
-                chains.append(A)
-        verdicts = conjecture1_tests(chains, tol=1e-2, schedule=SCHEDULE)
-        assert verdicts == [
-            conjecture1_test(A, tol=1e-2, schedule=SCHEDULE) for A in chains
-        ]
-        assert conjecture1_tests([], tol=1e-2, schedule=SCHEDULE) == []
-        with pytest.raises(ValueError, match="translation chain"):
-            conjecture1_tests([FIG7, FIG4], tol=1e-2, schedule=SCHEDULE)
 
     def test_reproducible(self):
         v1 = conjecture1_test(FIG7, tol=1e-2, schedule=SCHEDULE)

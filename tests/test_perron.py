@@ -12,7 +12,6 @@ from tropasym import (
     estimate_p_infinity,
     geometric_schedule,
     log_perron_eigenpair,
-    normalized_trajectories,
     normalized_trajectory,
     random_matrix,
     span_distance,
@@ -182,21 +181,21 @@ class TestTrajectory:
                 assert s.log_rho_over_k <= lam + math.log(4) / s.k + 1e-11
 
 
-def grid_stack(n: int, m: int, seed: int) -> list[np.ndarray]:
+def grid_matrices(n: int, m: int, seed: int) -> list[np.ndarray]:
     """m zero-diagonal n x n matrices on the 1/2 grid in [-6, 2]: ties abound."""
     rng = np.random.default_rng(seed)
-    stack = []
+    mats = []
     for _ in range(m):
         A = rng.integers(-12, 5, size=(n, n)) / 2.0
         np.fill_diagonal(A, 0.0)
-        stack.append(A)
-    return stack
+        mats.append(A)
+    return mats
 
 
-class TestStack:
+class TestTrajectoryOracle:
     SCHEDULE = geometric_schedule(4.0, 8)
 
-    def test_stack_equals_single(self, monkeypatch):
+    def test_equals_oracle(self, monkeypatch):
         accelerated = []
         accelerate = perron._accelerate
 
@@ -207,55 +206,25 @@ class TestStack:
         monkeypatch.setattr(perron, "_accelerate", counting)
         for n in (1, 2, 3, 8):
             for m in range(1, 9):
-                stack = grid_stack(n, m, seed=100 * n + m)
-                trajs = normalized_trajectories(stack, self.SCHEDULE)
-                assert len(trajs) == m
-                for A, traj in zip(stack, trajs):
-                    single = normalized_trajectory(A, self.SCHEDULE)
-                    assert traj == single == trajectory_oracle(A, self.SCHEDULE)
-        # members that left the lazy phase uncertified went through the accelerator
+                for A in grid_matrices(n, m, seed=100 * n + m):
+                    traj = normalized_trajectory(A, self.SCHEDULE)
+                    assert traj == trajectory_oracle(A, self.SCHEDULE)
+        # samples whose start point the first step left uncertified were accelerated
         assert {2, 3, 8} <= set(accelerated)
 
-    def test_failing_members_equal_single(self):
+    def test_failures_equal_oracle(self):
         for n in (2, 3, 8):
-            stack = grid_stack(n, 5, seed=n)
-            trajs = normalized_trajectories(stack, self.SCHEDULE, max_iter=5)
-            for A, traj in zip(stack, trajs):
+            for A in grid_matrices(n, 5, seed=n):
+                traj = normalized_trajectory(A, self.SCHEDULE, max_iter=5)
                 assert traj.failures
-                single = normalized_trajectory(A, self.SCHEDULE, max_iter=5)
-                assert traj == single == trajectory_oracle(A, self.SCHEDULE, max_iter=5)
+                assert traj == trajectory_oracle(A, self.SCHEDULE, max_iter=5)
 
-    def test_one_member_step_equals_stack_row(self):
-        # a lone member takes the 2-D step, which must match its stacked step
-        rng = np.random.default_rng(23)
-        for n in range(2, 41):
-            for k in (4.0, 64.0, 1024.0, 2.0**14):
-                A = rng.uniform(-6.0, 0.0, (n, n))
-                np.fill_diagonal(A, 0.0)
-                kA = k * A
-                y = k * rng.uniform(-3.0, 3.0, n)
-                y[0] = 0.0
-                ynew, s, res = perron._lazy_step(kA, y, k)
-                Ynew, S, R = perron._lazy_steps(kA[None], y[None], k)
-                assert np.array_equal(ynew, Ynew[0]), (n, k)
-                assert (s, res) == (S[0], R[0]), (n, k)
-
-    def test_accepts_an_array_stack(self):
-        stack = grid_stack(3, 4, seed=7)
-        assert normalized_trajectories(np.array(stack), self.SCHEDULE) == (
-            normalized_trajectories(stack, self.SCHEDULE)
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            normalized_trajectories([], self.SCHEDULE)
-        with pytest.raises(ValueError, match="same size"):
-            normalized_trajectories([FIG2, SYM2], self.SCHEDULE)
-        for bad in (math.nan, math.inf):
-            member = [row[:] for row in FIG2]
-            member[0][1] = bad
+    def test_non_finite_entries_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            A = [row[:] for row in FIG2]
+            A[0][1] = bad
             with pytest.raises(ValueError, match="finite"):
-                normalized_trajectories([FIG2, member], self.SCHEDULE)
+                normalized_trajectory(A, self.SCHEDULE)
 
 
 class TestEstimate:
