@@ -21,8 +21,6 @@ from .core import MAX_PLUS, MIN_PLUS, TropicalMatrix
 from .perron import (
     DEFAULT_DOUBLINGS,
     DEFAULT_K0,
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     PerronError,
     estimate_p_infinity,
     geometric_schedule,
@@ -93,13 +91,8 @@ def load_matrix(args) -> TropicalMatrix:
 
 
 def _trajectory(A: TropicalMatrix, args):
-    """A's trajectory with the command's schedule and solver options."""
-    return normalized_trajectory(
-        A.to_floats(),
-        geometric_schedule(args.k0, args.doublings),
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
+    """A's trajectory along the command's schedule."""
+    return normalized_trajectory(A.to_floats(), geometric_schedule(args.k0, args.doublings))
 
 
 def _emit(text: str, out: str | None):
@@ -143,9 +136,7 @@ def cmd_schur(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    rows = figs.figure_report(
-        k0=args.k0, doublings=args.doublings, tol=args.tol, max_iter=args.max_iter
-    )
+    rows = figs.figure_report(k0=args.k0, doublings=args.doublings)
     if args.format == "csv":
         lines = ["name,lambda,flag,caption_pinf,estimated_pinf,caption_distance"]
         for r in rows:
@@ -206,12 +197,7 @@ def cmd_conjectures(args) -> int:
         if len(gens) < 2 or conj.translation_chain(gens) is None:
             continue
         chains.append(A)
-        c1_verdicts.append(
-            conj.conjecture1_test(
-                A, tol=args.match_tol, schedule=schedule,
-                solver_tol=args.tol, max_iter=args.max_iter,
-            )
-        )
+        c1_verdicts.append(conj.conjecture1_test(A, tol=args.match_tol, schedule=schedule))
     report["conjecture1"] = _verdict_summary(c1_verdicts)
 
     bases, c2_verdicts = [], []
@@ -225,10 +211,7 @@ def cmd_conjectures(args) -> int:
             continue
         bases.append(A)
         c2_verdicts.append(
-            conj.conjecture2_test(
-                A, perts, tol=args.match_tol, schedule=schedule,
-                solver_tol=args.tol, max_iter=args.max_iter,
-            )
+            conj.conjecture2_test(A, perts, tol=args.match_tol, schedule=schedule)
         )
     report["conjecture2"] = _verdict_summary(c2_verdicts)
 
@@ -260,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         if solver:
             sp.add_argument("--k0", type=float, default=DEFAULT_K0)
             sp.add_argument("--doublings", type=int, default=DEFAULT_DOUBLINGS)
-            sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-            sp.add_argument("--max-iter", dest="max_iter", type=int, default=DEFAULT_MAX_ITER)
         sp.add_argument("--out", help="output path (default: stdout)")
 
     sp = sub.add_parser("spectrum", help="tropical eigenvalue, classes, generators")

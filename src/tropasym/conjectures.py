@@ -26,8 +26,6 @@ from .core import (
     span_distance,
 )
 from .perron import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     EstimateError,
     PinfEstimate,
     estimate_p_infinity,
@@ -41,6 +39,9 @@ from .spectral import (
 )
 
 _PERTURBATION_STEP = Fraction(1, 2)
+
+# candidates eigenspace_preserving_perturbations draws per requested member
+_ATTEMPTS_PER_MEMBER = 400
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def translation_chain(gens: Sequence[ProjectivePoint]) -> TranslationChain | Non
     )
 
 
-def _estimates(family, gens, schedule, tol, max_iter) -> tuple[PinfEstimate, ...]:
+def _estimates(family, gens, schedule) -> tuple[PinfEstimate, ...]:
     """Estimate each member's limit, with the eigenspace-membership safety net.
 
     Each member's trajectory is solved on its own.  Every measured limit
@@ -97,7 +98,7 @@ def _estimates(family, gens, schedule, tol, max_iter) -> tuple[PinfEstimate, ...
     """
     estimates = []
     for M, g in zip(family, gens):
-        traj = normalized_trajectory(M.to_floats(), schedule, tol=tol, max_iter=max_iter)
+        traj = normalized_trajectory(M.to_floats(), schedule)
         est = estimate_p_infinity(traj)
         dist = span_distance(list(est.point.coords), [x.to_floats() for x in g])
         if dist > 10.0 * est.error_bound + 1e-3:
@@ -113,15 +114,13 @@ def conjecture1_test(
     A: TropicalMatrix,
     tol: float,
     schedule: Sequence[float],
-    solver_tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> ConjectureVerdict:
     """Chain prediction vs measured limit; rejects matrices without a chain."""
     sd = spectral_data(A)
     chain = translation_chain(sd.generators)
     if chain is None:
         raise ValueError("eigenspace is not a translation chain")
-    [est] = _estimates([A], [sd.generators], schedule, solver_tol, max_iter)
+    [est] = _estimates([A], [sd.generators], schedule)
     predicted = [float(x) for x in chain.predicted.coords]
     dist = max(abs(a - b) for a, b in zip(predicted, est.point.coords))
     return ConjectureVerdict(
@@ -143,7 +142,6 @@ def eigenspace_preserving_perturbations(
     count: int,
     magnitude,
     seed: int,
-    max_attempts: int | None = None,
 ) -> list[TropicalMatrix]:
     """Rejection-sample single-entry perturbations that leave the eigenspace alone.
 
@@ -151,7 +149,8 @@ def eigenspace_preserving_perturbations(
     to one off-diagonal entry; it is accepted iff its eigenvalue and its
     generator set both match the original exactly.  A candidate drawn again
     is skipped, so the members are distinct.  Deterministic given the seed;
-    warns and returns fewer matrices when the attempt budget runs out.
+    warns and returns fewer matrices when its _ATTEMPTS_PER_MEMBER * count
+    draws run out.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -159,7 +158,6 @@ def eigenspace_preserving_perturbations(
     if magnitude <= 0:
         raise ValueError("magnitude must be positive")
     rng = random.Random(seed)
-    budget = max_attempts if max_attempts is not None else 400 * count
     steps = int(magnitude / _PERTURBATION_STEP)
     sd0 = spectral_data(A)
     accepted: list[TropicalMatrix] = []
@@ -167,7 +165,7 @@ def eigenspace_preserving_perturbations(
     # them has been tried, further draws cannot add a member
     candidates = A.n * (A.n - 1) * 2 * steps
     tried: set[tuple[int, int, int]] = set()
-    for _ in range(budget):
+    for _ in range(_ATTEMPTS_PER_MEMBER * count):
         if len(accepted) >= count or len(tried) == candidates:
             break
         i = rng.randrange(A.n)
@@ -197,8 +195,6 @@ def conjecture2_test(
     perturbed: Sequence[TropicalMatrix],
     tol: float,
     schedule: Sequence[float],
-    solver_tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> ConjectureVerdict:
     """All members of an equal-eigenspace family must share one limit."""
     family = [A, *perturbed]
@@ -207,7 +203,7 @@ def conjecture2_test(
     for g in gens[1:]:
         if not _same_span(gens[0], g):
             raise ValueError("perturbed matrix does not share the eigenspace")
-    estimates = _estimates(family, gens, schedule, solver_tol, max_iter)
+    estimates = _estimates(family, gens, schedule)
     points = [list(est.point.coords) for est in estimates]
     worst = 0.0
     for i in range(len(points)):

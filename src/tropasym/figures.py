@@ -17,8 +17,6 @@ from .core import MAX_PLUS, ProjectivePoint, TropicalMatrix, as_rational, in_spa
 from .perron import (
     DEFAULT_DOUBLINGS,
     DEFAULT_K0,
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     estimate_p_infinity,
     geometric_schedule,
     normalized_trajectory,
@@ -61,10 +59,7 @@ def load_cases() -> list[FigureCase]:
 
 
 def figure_report(
-    k0: float = DEFAULT_K0,
-    doublings: int = DEFAULT_DOUBLINGS,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    k0: float = DEFAULT_K0, doublings: int = DEFAULT_DOUBLINGS
 ) -> list[dict]:
     """One row per bundled case: spectral data, measured limit, caption flag."""
     rows = []
@@ -72,9 +67,7 @@ def figure_report(
     for case in load_cases():
         sd = spectral_data(case.matrix)
         caption_ok = in_span(case.caption_pinf, sd.generators)
-        traj = normalized_trajectory(
-            case.matrix.to_floats(), schedule, tol=tol, max_iter=max_iter
-        )
+        traj = normalized_trajectory(case.matrix.to_floats(), schedule)
         est = estimate_p_infinity(traj)
         caption_float = [float(x) for x in case.caption_pinf.coords]
         row = {

@@ -27,7 +27,10 @@ whole k range:
 Residuals are measured on the k-normalized map, i.e. ||F(y) - y||_inf / k,
 which keeps the convergence criterion meaningful uniformly in k: by the
 Collatz-Wielandt inequalities a residual r certifies the normalized log
-eigenvalue to within r.
+eigenvalue to within r.  A sample is certified when its residual falls below
+the fixed tolerance _TOL, and the work per sample is bounded by construction:
+one certifying step, at most _SQUARING_ROUNDS squarings and at most
+_POLISH_STEPS polishing steps.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ import numpy as np
 
 from .core import FloatPoint, float_point, span_distance
 
-DEFAULT_TOL = 1e-13
-DEFAULT_MAX_ITER = 10**6
 # the sampling schedule k0 * 2^i, i = 0..doublings: k = 4 to 2^14
 DEFAULT_K0 = 4.0
 DEFAULT_DOUBLINGS = 12
@@ -49,8 +50,19 @@ DEFAULT_DOUBLINGS = 12
 # trajectory moves below this are indistinguishable from rounding noise
 _MOVE_NOISE = 1e-9
 
+# residual on the k-normalized map below which a sample is certified
+_TOL = 1e-13
+
 # lazy steps over which a residual must fall below 3/4 of its old value
 _STALL_WINDOW = 40
+
+# squaring rounds of the accelerator, i.e. at most 2^40 power steps: beyond
+# that, accumulated rounding in the squared matrix (about 2^t * eps)
+# outweighs anything still to gain
+_SQUARING_ROUNDS = 40
+
+# polishing lazy steps after the accelerator
+_POLISH_STEPS = 400
 
 # row block height of _log_matmul; 8 measured as fast as 16
 _LOG_MATMUL_ROWS = 16
@@ -133,41 +145,29 @@ def _lazy_step(kA: np.ndarray, y: np.ndarray, k: float):
     return z - z[0], u0, res
 
 
-class _Member:
-    """One matrix's solver state: iterations spent and its best iterate so far."""
-
-    __slots__ = ("it", "res", "y", "s")
-
-    def __init__(self, y: np.ndarray):
-        self.it, self.res, self.y, self.s = 0, math.inf, y, 0.0
-
-    def record(self, y: np.ndarray, s: float, res: float) -> None:
-        """Count one step from y and keep y if its residual is the best yet."""
-        self.it += 1
-        if res < self.res:
-            self.res, self.y, self.s = res, y, s
-
-
-def _lazy_phase(kA, y, mb, k, tol, max_iter, budget):
+def _lazy_phase(kA, y, k, best):
     """Polishing lazy steps for one matrix from y while they genuinely contract.
 
     Stops when a residual certifies its pre-step point, when the residual
-    stalls, or when the budget or max_iter runs out; mb keeps the best point.
+    stalls, or after _POLISH_STEPS steps.  Returns the (residual, point, u_1)
+    with the smallest residual among best and the points stepped from, and
+    the number of steps taken.
     """
     history = []
-    while budget > 0 and mb.it < max_iter:
+    for steps in range(1, _POLISH_STEPS + 1):
         ynew, s, res = _lazy_step(kA, y, k)
-        budget -= 1
-        mb.record(y, s, res)
-        if res < tol:
-            return
+        if res < best[0]:
+            best = (res, y, s)
+        if res < _TOL:
+            break
         history.append(res)
         if len(history) > _STALL_WINDOW and res > 0.75 * history[-_STALL_WINDOW]:
-            return
+            break
         y = ynew
+    return best, steps
 
 
-def _accelerate(kA: np.ndarray, y: np.ndarray, mb: _Member, max_iter: int) -> np.ndarray:
+def _accelerate(kA: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     """Repeated squaring of the diagonally shifted log matrix from y.
 
     Each round applies 2^t power steps.  The shift is certified <= log rho
@@ -175,6 +175,7 @@ def _accelerate(kA: np.ndarray, y: np.ndarray, mb: _Member, max_iter: int) -> np
     near-(-rho) mode without disturbing which cycles are critical.  Rounds
     are residual-guided: accumulated rounding in the squared matrix doubles
     per round, so the loop stops as soon as candidates stop improving.
+    Returns the final point and the number of rounds run.
     """
     n = kA.shape[0]
     u = _lse_rows(kA + y[None, :])
@@ -183,14 +184,9 @@ def _accelerate(kA: np.ndarray, y: np.ndarray, mb: _Member, max_iter: int) -> np
     idx = np.arange(n)
     B[idx, idx] = np.logaddexp(B[idx, idx], c0)
     x = y.copy()
-    # 40 rounds = power 2^40; beyond that, accumulated rounding in the
-    # squared matrix (about 2^t * eps) outweighs anything still to gain
-    for _ in range(40):
-        if mb.it >= max_iter:
-            break
+    for rounds in range(1, _SQUARING_ROUNDS + 1):
         xnew = _lse_rows(B + x[None, :])
         xnew -= xnew[0]
-        mb.it += 1
         if not np.isfinite(xnew).all():
             break
         delta = float(np.abs(xnew - x).max())
@@ -199,10 +195,10 @@ def _accelerate(kA: np.ndarray, y: np.ndarray, mb: _Member, max_iter: int) -> np
             break  # aggregation stabilized
         B = _log_matmul(B, B)
         B -= B.max()
-    return x
+    return x, rounds
 
 
-def _solve(kA: np.ndarray, k: float, tol: float, max_iter: int, y0: np.ndarray | None):
+def _solve(kA: np.ndarray, k: float, y0: np.ndarray | None):
     """Core solver for one k*A, started from y0 or 0.
 
     Returns (log_rho, y, residual, iterations, converged).  Certify or
@@ -215,41 +211,29 @@ def _solve(kA: np.ndarray, k: float, tol: float, max_iter: int, y0: np.ndarray |
     if n == 1:
         return float(kA[0, 0]), np.zeros(1), 0.0, 0, True
     y = np.zeros(n) if y0 is None else y0
-    mb = _Member(y)
     ynew, s, res = _lazy_step(kA, y, k)
-    mb.record(y, s, res)
-    if res >= tol:
-        x = _accelerate(kA, ynew, mb, max_iter)
-        _lazy_phase(kA, x, mb, k, tol, max_iter, 400)
-    return mb.s, mb.y, mb.res, mb.it, mb.res < tol
+    # a NaN residual, from a k*A that overflowed, reads as inf
+    best, it = ((res, y, s) if res < math.inf else (math.inf, y, 0.0)), 1
+    if res >= _TOL:
+        x, rounds = _accelerate(kA, ynew)
+        best, steps = _lazy_phase(kA, x, k, best)
+        it += rounds + steps
+    res, y, s = best
+    return s, y, res, it, res < _TOL
 
 
-def _check_limits(tol: float, max_iter: int) -> None:
-    # an infinite tol would certify every start point, zeros included
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
-    if not (max_iter >= 1):
-        raise ValueError("max_iter must be at least 1")
-
-
-def log_perron_eigenpair(
-    A,
-    k: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[float, FloatPoint, float, int]:
+def log_perron_eigenpair(A, k: float) -> tuple[float, FloatPoint, float, int]:
     """Log Perron root and normalized log eigenvector of exp(k*A).
 
     Returns (log_rho, vector, residual, iterations) with vector pinned to
     first coordinate 0.  The entries e^{k*A_ij} are never materialized.
     Raises ConvergenceError when the residual tolerance is not met; the
-    exception carries the last residual.
+    exception carries the best residual and the iterations spent.
     """
     M = _as_matrix(A)
     if not (math.isfinite(k) and k > 0):
         raise ValueError("k must be finite and positive")
-    _check_limits(tol, max_iter)
-    s, y, res, it, ok = _solve(k * M, float(k), tol, max_iter, None)
+    s, y, res, it, ok = _solve(k * M, float(k), None)
     if not ok:
         raise ConvergenceError(res, it)
     return s, float_point(y), res, it
@@ -352,12 +336,7 @@ def geometric_schedule(
         raise ValueError("schedule values must be finite and positive") from None
 
 
-def normalized_trajectory(
-    A,
-    k_schedule: Sequence[float],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> PerronTrajectory:
+def normalized_trajectory(A, k_schedule: Sequence[float]) -> PerronTrajectory:
     """Sample P_k = (log Perron vector)/k along the schedule.
 
     Samples are computed in increasing k, each warm-started from the previous
@@ -375,13 +354,12 @@ def normalized_trajectory(
         raise ValueError("schedule values must be finite and positive")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("schedule must be strictly increasing")
-    _check_limits(tol, max_iter)
     samples: list[PerronSample] = []
     failures: list[FailedSample] = []
     y = kprev = None
     for k in ks:
         y0 = None if y is None else y * (k / kprev)
-        s, y, res, it, ok = _solve(k * M, k, tol, max_iter, y0)
+        s, y, res, it, ok = _solve(k * M, k, y0)
         kprev = k
         if ok:
             samples.append(

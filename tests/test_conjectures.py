@@ -22,6 +22,7 @@ from tropasym import (
     spectral_data,
     translation_chain,
 )
+from tropasym import conjectures
 
 from _oracles import random_matrix_rows
 
@@ -137,12 +138,11 @@ class TestPerturbations:
         b = eigenspace_preserving_perturbations(FIG8, count=3, magnitude=2, seed=5)
         assert a == b
 
-    def test_budget_exhaustion_warns(self):
-        with pytest.warns(UserWarning):
-            got = eigenspace_preserving_perturbations(
-                FIG8, count=50, magnitude=2, seed=1, max_attempts=5
-            )
-        assert len(got) < 50
+    def test_budget_exhaustion_warns(self, monkeypatch):
+        monkeypatch.setattr(conjectures, "_ATTEMPTS_PER_MEMBER", 1)
+        with pytest.warns(UserWarning, match="found only"):
+            got = eigenspace_preserving_perturbations(FIG8, count=3, magnitude=2, seed=1)
+        assert len(got) < 3
 
     def test_stops_once_every_candidate_was_tried(self, monkeypatch):
         # FIG3 has no eigenspace-preserving perturbation of magnitude 2: its

@@ -21,6 +21,7 @@ from tropasym import perron
 
 from _oracles import (
     OracleError,
+    _solve_one,
     log_matmul_oracle,
     perron_float_oracle,
     trajectory_oracle,
@@ -70,18 +71,15 @@ class TestEigenpair:
             with pytest.raises(ValueError, match="finite"):
                 log_perron_eigenpair(FIG2, k)
 
-    def test_bad_tol_or_max_iter_rejected(self):
-        for tol in (math.nan, math.inf, -1.0, 0.0):
-            with pytest.raises(ValueError, match="tol"):
-                log_perron_eigenpair(FIG2, 4.0, tol=tol)
-        with pytest.raises(ValueError, match="max_iter"):
-            log_perron_eigenpair(FIG2, 4.0, max_iter=0)
-
-    def test_nonconvergence_reports_residual(self):
+    def test_nonconvergence_reports_residual(self, monkeypatch):
+        # under a zero tolerance no sample is ever certified
+        monkeypatch.setattr(perron, "_TOL", 0.0)
         with pytest.raises(ConvergenceError) as exc:
-            log_perron_eigenpair(FIG2, 4.0, max_iter=5)
-        assert exc.value.residual > 0
-        assert exc.value.iterations <= 60
+            log_perron_eigenpair(FIG2, 4.0)
+        _, _, res, it, ok = _solve_one(4.0 * np.array(FIG2), 4.0, 0.0, None)
+        assert not ok
+        assert (exc.value.residual, exc.value.iterations) == (res, it)
+        assert f"{res:.3e}" in str(exc.value) and f"{it} iterations" in str(exc.value)
 
 
 class TestFloatOracle:
@@ -148,18 +146,24 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="finite"):
             geometric_schedule(4.0, 1030)
 
-    def test_bad_tol_or_max_iter_rejected(self):
-        for tol in (math.nan, math.inf, -1.0, 0.0):
-            with pytest.raises(ValueError, match="tol"):
-                normalized_trajectory(FIG2, [4.0, 8.0], tol=tol)
-        for max_iter in (0, -1):
-            with pytest.raises(ValueError, match="max_iter"):
-                normalized_trajectory(FIG2, [4.0, 8.0], max_iter=max_iter)
+    def test_failures_recorded_not_fatal(self, monkeypatch):
+        monkeypatch.setattr(perron, "_TOL", 0.0)
+        traj = normalized_trajectory(FIG2, [4.0, 8.0])
+        assert not traj.samples  # an impossible tolerance shows up as failures
+        assert [f.k for f in traj.failures] == [4.0, 8.0]
 
-    def test_failures_recorded_not_fatal(self):
-        traj = normalized_trajectory(FIG2, [4.0, 8.0], tol=1e-30, max_iter=50)
-        assert len(traj.samples) + len(traj.failures) == 2
-        assert traj.failures  # impossible tolerance shows up as failures
+    def test_iterations_bounded_by_construction(self, monkeypatch):
+        # with nothing certified, only the stall rule and the fixed counts end
+        # a sample: one certifying step, the squaring rounds, the polishing
+        monkeypatch.setattr(perron, "_TOL", 0.0)
+        bound = 1 + perron._SQUARING_ROUNDS + perron._POLISH_STEPS
+        mats = [np.array(FIG2)] + [
+            A for n in (2, 3, 8) for A in grid_matrices(n, 4, seed=n)
+        ]
+        for A in mats:
+            traj = normalized_trajectory(A, geometric_schedule())
+            assert not traj.samples
+            assert all(f.iterations <= bound for f in traj.failures)
 
     def test_scale_equivariance(self):
         c = 0.75
@@ -199,9 +203,9 @@ class TestTrajectoryOracle:
         accelerated = []
         accelerate = perron._accelerate
 
-        def counting(kA, y, mb, max_iter):
+        def counting(kA, y):
             accelerated.append(kA.shape[0])
-            return accelerate(kA, y, mb, max_iter)
+            return accelerate(kA, y)
 
         monkeypatch.setattr(perron, "_accelerate", counting)
         for n in (1, 2, 3, 8):
@@ -212,12 +216,13 @@ class TestTrajectoryOracle:
         # samples whose start point the first step left uncertified were accelerated
         assert {2, 3, 8} <= set(accelerated)
 
-    def test_failures_equal_oracle(self):
+    def test_failures_equal_oracle(self, monkeypatch):
+        monkeypatch.setattr(perron, "_TOL", 0.0)
         for n in (2, 3, 8):
             for A in grid_matrices(n, 5, seed=n):
-                traj = normalized_trajectory(A, self.SCHEDULE, max_iter=5)
+                traj = normalized_trajectory(A, self.SCHEDULE)
                 assert traj.failures
-                assert traj == trajectory_oracle(A, self.SCHEDULE, max_iter=5)
+                assert traj == trajectory_oracle(A, self.SCHEDULE, tol=0.0)
 
     def test_non_finite_entries_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -259,7 +264,7 @@ class TestEstimate:
         assert dist <= 10 * est.error_bound + 1e-3
 
 
-def test_trajectory_csv_interface():
+def test_trajectory_csv_interface(monkeypatch):
     from tropasym.perron import trajectory_csv
 
     gens = [g.to_floats() for g in spectral_data(
@@ -273,7 +278,8 @@ def test_trajectory_csv_interface():
     for line, s in zip(lines[1:], traj.samples):
         assert float(line.split(",")[-1]) == span_distance(list(s.point.coords), gens)
     # failures keep k/residual/iterations but leave value cells empty
-    broken = normalized_trajectory(FIG2, [4.0, 8.0], max_iter=5)
+    monkeypatch.setattr(perron, "_TOL", 0.0)
+    broken = normalized_trajectory(FIG2, [4.0, 8.0])
     assert not broken.samples
     lines = trajectory_csv(broken, gens).splitlines()
     assert lines[0] == header  # no sample to read n from: it comes from gens
