@@ -13,7 +13,6 @@ from .core import (
     kleene_star,
     normalize_projective,
     span_distance,
-    trop_project_onto_span,
 )
 from .spectral import (
     SpectralData,
@@ -22,16 +21,13 @@ from .spectral import (
     spectral_data,
 )
 from .perron import (
-    ConvergenceError,
     EstimateError,
     PerronSample,
     PerronTrajectory,
     PinfEstimate,
     estimate_p_infinity,
     geometric_schedule,
-    log_perron_eigenpair,
     normalized_trajectory,
-    row_coupling_mass,
     trajectory_csv,
 )
 from .schur import (

@@ -21,7 +21,7 @@ from .core import MAX_PLUS, MIN_PLUS, TropicalMatrix
 from .perron import (
     DEFAULT_DOUBLINGS,
     DEFAULT_K0,
-    PerronError,
+    EstimateError,
     estimate_p_infinity,
     geometric_schedule,
     normalized_trajectory,
@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (PerronError, ArithmeticError) as exc:
+    except (EstimateError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

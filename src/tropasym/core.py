@@ -276,14 +276,12 @@ def _span_projection(x: Sequence, gens: Sequence[Sequence]) -> list:
     return [max(lam + g[i] for lam, g in zip(lams, gens)) for i in range(len(x))]
 
 
-def trop_project_onto_span(x: ProjectivePoint, gens: Sequence[ProjectivePoint]) -> ProjectivePoint:
-    """Best max-plus span approximation of x from below."""
-    return normalize_projective(_span_projection(x.coords, [g.coords for g in gens]))
-
-
 def in_span(x: ProjectivePoint, gens: Sequence[ProjectivePoint]) -> bool:
-    """Exact membership of x in the tropical span of the generators."""
-    return trop_project_onto_span(x, gens) == x
+    """Exact membership of x in the tropical span of the generators.
+
+    x is in the span iff its best approximation from below is x itself.
+    """
+    return normalize_projective(_span_projection(x.coords, [g.coords for g in gens])) == x
 
 
 @dataclass(frozen=True)

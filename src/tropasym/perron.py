@@ -1,5 +1,11 @@
 """Numerical Perron eigenpairs of exp(k*A), entirely in log coordinates.
 
+The one entry point is normalized_trajectory, which samples P_k along an
+increasing k schedule; a single k is normalized_trajectory(A, [k]), whose
+sample carries log rho / k and P_k = (log Perron vector) / k.  It validates
+its input once: A square, non-empty and finite, the schedule finite,
+positive and increasing, and every entry of k*A within double range.
+
 Explicitly exponentiating k*A stops working long before the interesting
 asymptotics set in: cross terms like e^{-25000} are absorbed or flushed to
 zero, and the iteration silently returns garbage.  Everything here therefore
@@ -75,38 +81,14 @@ _max = np.maximum.reduce
 _sum = np.add.reduce
 
 
-class PerronError(RuntimeError):
+class EstimateError(RuntimeError):
     pass
-
-
-class ConvergenceError(PerronError):
-    """Power iteration did not reach the residual tolerance."""
-
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"no convergence: residual {residual:.3e} after {iterations} iterations"
-        )
-        self.residual = residual
-        self.iterations = iterations
-
-
-class EstimateError(PerronError):
-    pass
-
-
-def _as_matrix(A) -> np.ndarray:
-    M = np.asarray(A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise ValueError("matrix must be square and non-empty")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-    return M
 
 
 def _lse_rows(B: np.ndarray) -> np.ndarray:
     """logsumexp of each row of a matrix."""
-    m = _max(B, axis=1, keepdims=True)
-    return m[:, 0] + np.log(_sum(np.exp(B - m), axis=1))
+    m = _max(B, axis=1)
+    return m + np.log(_sum(np.exp(B - m[:, None]), axis=1))
 
 
 def _log_matmul(B: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -134,37 +116,33 @@ def _log_matmul(B: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 def _lazy_step(kA: np.ndarray, y: np.ndarray, k: float):
     """One averaged step from y: the next point, u_1 and the residual of y."""
-    # _lse_rows inlined for one matrix: the same float operations in fewer
-    # numpy calls, since call overhead is most of a step at small n
-    B = kA + y
-    m = _max(B, axis=1)
-    u = m + np.log(_sum(np.exp(B - m[:, None]), axis=1))
+    u = _lse_rows(kA + y)
     u0 = float(u[0])
     res = float(_max(np.abs(u - u0 - y), axis=None)) / k
     z = np.logaddexp(u, u0 + y) - _LOG2
     return z - z[0], u0, res
 
 
-def _lazy_phase(kA, y, k, best):
-    """Polishing lazy steps for one matrix from y while they genuinely contract.
+def _lazy_phase(kA, y, k, best, budget):
+    """Lazy steps for one matrix from y while they genuinely contract.
 
     Stops when a residual certifies its pre-step point, when the residual
-    stalls, or after _POLISH_STEPS steps.  Returns the (residual, point, u_1)
-    with the smallest residual among best and the points stepped from, and
-    the number of steps taken.
+    stalls, or after `budget` steps.  Returns the (residual, point, u_1) with
+    the smallest residual among best and the points stepped from, the last
+    point reached, and the number of steps taken.
     """
     history = []
-    for steps in range(1, _POLISH_STEPS + 1):
+    for steps in range(1, budget + 1):
         ynew, s, res = _lazy_step(kA, y, k)
         if res < best[0]:
             best = (res, y, s)
         if res < _TOL:
             break
         history.append(res)
+        y = ynew
         if len(history) > _STALL_WINDOW and res > 0.75 * history[-_STALL_WINDOW]:
             break
-        y = ynew
-    return best, steps
+    return best, y, steps
 
 
 def _accelerate(kA: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
@@ -211,46 +189,13 @@ def _solve(kA: np.ndarray, k: float, y0: np.ndarray | None):
     if n == 1:
         return float(kA[0, 0]), np.zeros(1), 0.0, 0, True
     y = np.zeros(n) if y0 is None else y0
-    ynew, s, res = _lazy_step(kA, y, k)
-    # a NaN residual, from a k*A that overflowed, reads as inf
-    best, it = ((res, y, s) if res < math.inf else (math.inf, y, 0.0)), 1
-    if res >= _TOL:
-        x, rounds = _accelerate(kA, ynew)
-        best, steps = _lazy_phase(kA, x, k, best)
+    best, y, it = _lazy_phase(kA, y, k, (math.inf, y, 0.0), 1)
+    if best[0] >= _TOL:
+        x, rounds = _accelerate(kA, y)
+        best, _, steps = _lazy_phase(kA, x, k, best, _POLISH_STEPS)
         it += rounds + steps
     res, y, s = best
     return s, y, res, it, res < _TOL
-
-
-def log_perron_eigenpair(A, k: float) -> tuple[float, FloatPoint, float, int]:
-    """Log Perron root and normalized log eigenvector of exp(k*A).
-
-    Returns (log_rho, vector, residual, iterations) with vector pinned to
-    first coordinate 0.  The entries e^{k*A_ij} are never materialized.
-    Raises ConvergenceError when the residual tolerance is not met; the
-    exception carries the best residual and the iterations spent.
-    """
-    M = _as_matrix(A)
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError("k must be finite and positive")
-    s, y, res, it, ok = _solve(k * M, float(k), None)
-    if not ok:
-        raise ConvergenceError(res, it)
-    return s, float_point(y), res, it
-
-
-def row_coupling_mass(A, k: float, point: Sequence[float]) -> float:
-    """Smallest row-wise sub-dominant logsumexp mass at the given point.
-
-    Measures how much of the matrix structure is still numerically visible at
-    scale k; values near machine epsilon mean the eigenvector mixture is
-    frozen and no longer being updated by any double-precision method.
-    """
-    M = _as_matrix(A)
-    y = np.asarray(list(point), dtype=float)
-    B = k * M + y[None, :] - y[:, None]
-    r = np.exp(B - B.max(axis=1, keepdims=True))
-    return float((r.sum(axis=1) - 1.0).min())
 
 
 @dataclass(frozen=True)
@@ -344,9 +289,13 @@ def normalized_trajectory(A, k_schedule: Sequence[float]) -> PerronTrajectory:
     eigenvector mixture accurate far beyond the range where exp(kA) is
     representable.  A sample that misses the tolerance is recorded as a
     failure rather than aborting the run, but its iterate still seeds the
-    next sample.
+    next sample.  A k*A with an entry beyond double range is an input error.
     """
-    M = _as_matrix(A)
+    M = np.asarray(A, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValueError("matrix must be square and non-empty")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix entries must be finite")
     ks = [float(k) for k in k_schedule]
     if not ks:
         raise ValueError("schedule must be non-empty")
@@ -354,6 +303,9 @@ def normalized_trajectory(A, k_schedule: Sequence[float]) -> PerronTrajectory:
         raise ValueError("schedule values must be finite and positive")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("schedule must be strictly increasing")
+    # float products are monotone, so k*A overflows somewhere iff it does here
+    if not math.isfinite(ks[-1] * float(np.abs(M).max())):
+        raise ValueError(f"k*A overflows double range at k = {ks[-1]!r}")
     samples: list[PerronSample] = []
     failures: list[FailedSample] = []
     y = kprev = None

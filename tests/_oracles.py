@@ -22,7 +22,8 @@ library's kernel code they share only `StarDivergenceError`, so the
 divergence message and witness cycle come from the same walk on both sides.
 
 Besides the oracles, hadamard_lemma_check is a property check of the
-library's own spectral data under entrywise scaling.
+library's own spectral data under entrywise scaling, and row_coupling_mass
+is a diagnostic of how much of k*A a float Perron vector still resolves.
 """
 
 import itertools
@@ -212,6 +213,24 @@ def perron_float_oracle(A, k: float) -> tuple[float, np.ndarray]:
         )
     rho = float((M @ x)[0] / x[0])
     return rho, x / x.max()
+
+
+def row_coupling_mass(A, k: float, point) -> float:
+    """Smallest row-wise sub-dominant logsumexp mass at the given point.
+
+    Measures how much of the matrix structure is still numerically visible at
+    scale k; values near machine epsilon mean the eigenvector mixture is
+    frozen and no longer being updated by any double-precision method.
+    """
+    M = np.asarray(A, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValueError("matrix must be square and non-empty")
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix entries must be finite")
+    y = np.asarray(list(point), dtype=float)
+    B = k * M + y[None, :] - y[:, None]
+    r = np.exp(B - B.max(axis=1, keepdims=True))
+    return float((r.sum(axis=1) - 1.0).min())
 
 
 def longest_path_table(A: TropicalMatrix) -> list[list[Fraction]]:

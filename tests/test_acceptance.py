@@ -30,7 +30,6 @@ from tropasym import (
 )
 from tropasym.core import MIN_PLUS
 from tropasym.figures import figure_report
-from tropasym.perron import row_coupling_mass
 
 from _oracles import (
     OracleError,
@@ -39,6 +38,7 @@ from _oracles import (
     longest_path_table,
     perron_float_oracle,
     restricted_fw,
+    row_coupling_mass,
 )
 
 F = Fraction

@@ -143,6 +143,12 @@ class TestPerron:
         assert code == 1
         assert "finite" in err
 
+    def test_overflowing_kA_is_an_input_error(self, capsys):
+        # 2^14 * 1e305 is beyond double range at the schedule's last k
+        code, _, err = run(["perron", "--matrix", "[[0, 1e305], [-1, 0]]"], capsys)
+        assert code == 1
+        assert "overflows" in err and "k = 16384.0" in err
+
 
 class TestFigures:
     def test_flags(self, capsys):

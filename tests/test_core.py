@@ -15,8 +15,8 @@ from tropasym import (
     kleene_star,
     normalize_projective,
     span_distance,
-    trop_project_onto_span,
 )
+from tropasym.core import _span_projection
 from tropasym.schur import minplus_schur
 from tropasym.spectral import max_cycle_mean
 
@@ -215,6 +215,11 @@ class TestKleeneStar:
         for i in range(A.n):
             for j in range(A.n):
                 assert S.entries[i][j] == table[i][j]
+
+
+def trop_project_onto_span(x, gens):
+    """Best max-plus span approximation of x from below, normalized."""
+    return normalize_projective(_span_projection(x.coords, [g.coords for g in gens]))
 
 
 class TestSpanProjection:

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from tropasym import (
-    ConvergenceError,
     EstimateError,
     TropicalMatrix,
     estimate_p_infinity,
     geometric_schedule,
-    log_perron_eigenpair,
     normalized_trajectory,
     random_matrix,
     span_distance,
@@ -38,48 +36,58 @@ def oracle_log_coords(v):
     return logs - logs[0]
 
 
+def eigenpair(A, k):
+    """Log Perron root and log Perron vector (pinned to 0) of exp(k*A) at one k."""
+    (sample,) = normalized_trajectory(A, [k]).samples
+    return sample.log_rho_over_k * k, np.array(sample.point.coords) * k, sample
+
+
 class TestEigenpair:
     def test_scalar(self):
-        s, v, res, it = log_perron_eigenpair([[0.7]], 100.0)
+        s, v, sample = eigenpair([[0.7]], 100.0)
         assert s == pytest.approx(70.0)
-        assert v.coords == (0.0,)
-        assert res == 0.0
+        assert tuple(v) == (0.0,)
+        assert sample.residual == 0.0
 
     def test_symmetric_two_by_two(self):
         for k in (1.0, 8.0, 512.0):
-            s, v, res, it = log_perron_eigenpair(SYM2, k)
-            assert max(abs(c) for c in v.coords) < 1e-12
+            s, v, _ = eigenpair(SYM2, k)
+            assert np.abs(v).max() < 1e-12
             assert s == pytest.approx(np.logaddexp(0.3 * k, -1.2 * k), abs=1e-12)
 
     def test_matches_linear_oracle_small_k(self):
         for k in (4.0, 12.0, 20.0):
-            s, v, _, _ = log_perron_eigenpair(FIG2, k)
+            s, v, _ = eigenpair(FIG2, k)
             rho, x = perron_float_oracle(FIG2, k)
             assert abs(s - math.log(rho)) < 1e-8
-            assert np.abs(oracle_log_coords(x) - np.array(v.coords)).max() < 1e-8
+            assert np.abs(oracle_log_coords(x) - v).max() < 1e-8
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            log_perron_eigenpair(FIG2, -1.0)
+            normalized_trajectory(FIG2, [-1.0])
         with pytest.raises(ValueError):
-            log_perron_eigenpair([[float("nan"), 0], [0, 0]], 4.0)
+            normalized_trajectory([[float("nan"), 0], [0, 0]], [4.0])
         with pytest.raises(ValueError):
-            log_perron_eigenpair([[0, 1], [1, 0], [0, 0]], 4.0)
+            normalized_trajectory([[0, 1], [1, 0], [0, 0]], [4.0])
 
     def test_non_finite_k_rejected(self):
         for k in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
-                log_perron_eigenpair(FIG2, k)
+                normalized_trajectory(FIG2, [k])
+
+    def test_overflowing_kA_rejected(self):
+        # k*A overflows only at the last k
+        A = [[0.0, -1e300, -3.0], [-1e300, 0.0, 1e300], [1.0, -2.0, 0.0]]
+        with pytest.raises(ValueError, match=r"overflows .* k = 10000000000\.0"):
+            normalized_trajectory(A, [4.0, 1e10])
 
     def test_nonconvergence_reports_residual(self, monkeypatch):
         # under a zero tolerance no sample is ever certified
         monkeypatch.setattr(perron, "_TOL", 0.0)
-        with pytest.raises(ConvergenceError) as exc:
-            log_perron_eigenpair(FIG2, 4.0)
+        traj = normalized_trajectory(FIG2, [4.0])
         _, _, res, it, ok = _solve_one(4.0 * np.array(FIG2), 4.0, 0.0, None)
-        assert not ok
-        assert (exc.value.residual, exc.value.iterations) == (res, it)
-        assert f"{res:.3e}" in str(exc.value) and f"{it} iterations" in str(exc.value)
+        assert not ok and not traj.samples
+        assert traj.failures == (perron.FailedSample(4.0, res, it),)
 
 
 class TestFloatOracle:
@@ -89,18 +97,18 @@ class TestFloatOracle:
         assert tuple(v) == (1.0,)
 
     def test_agreement_at_k4(self):
-        s, vec, _, _ = log_perron_eigenpair(FIG2, 4.0)
+        s, vec, _ = eigenpair(FIG2, 4.0)
         rho, x = perron_float_oracle(FIG2, 4.0)
         assert abs(s - math.log(rho)) < 1e-10
-        assert np.abs(oracle_log_coords(x) - np.array(vec.coords)).max() < 1e-10
+        assert np.abs(oracle_log_coords(x) - vec).max() < 1e-10
 
     def test_large_k_fails_while_log_domain_succeeds(self):
         # cross terms of exp(10000*A) flush to zero: the positive-matrix
         # assumption breaks and the oracle must refuse
         with pytest.raises(OracleError):
             perron_float_oracle(FIG2, 10000.0)
-        s, v, res, it = log_perron_eigenpair(FIG2, 10000.0)
-        assert all(math.isfinite(c) for c in v.coords)
+        s, v, _ = eigenpair(FIG2, 10000.0)
+        assert np.isfinite(v).all()
 
     def test_overflow_failure(self):
         with pytest.raises(OracleError):
@@ -232,6 +240,49 @@ class TestTrajectoryOracle:
                 normalized_trajectory(A, self.SCHEDULE)
 
 
+class TestMetamorphic:
+    """Relations between two trajectories, compared on samples certified in both."""
+
+    MATRICES = [A for n in (3, 4, 5, 6) for A in grid_matrices(n, 15, seed=500 + n)]
+
+    @staticmethod
+    def common_points(t1, t2, k_of=lambda k: k):
+        """Point pairs of the t1 samples at k and the t2 samples at k_of(k)."""
+        pairs = []
+        for s in t1.samples:
+            other = t2.sample_at(k_of(s.k))
+            if other is not None:
+                pairs.append((np.array(s.point.coords), np.array(other.point.coords)))
+        return pairs
+
+    def test_permuting_nodes_permutes_trajectory(self):
+        rng = np.random.default_rng(0)
+        ks = geometric_schedule()
+        compared = 0
+        for A in self.MATRICES:
+            perm = rng.permutation(A.shape[0])
+            traj = normalized_trajectory(A, ks)
+            permuted = normalized_trajectory(A[np.ix_(perm, perm)], ks)
+            for p, q in self.common_points(traj, permuted):
+                # node perm[0] becomes node 0, so re-pin to its coordinate
+                assert np.abs(q - (p[perm] - p[perm[0]])).max() < 1e-8
+                compared += 1
+        assert compared >= 0.9 * len(self.MATRICES) * len(ks)
+
+    def test_doubling_A_doubles_k(self):
+        # exp(k*2A) = exp(2k*A), so P_k(2A) = 2 P_2k(A); the residual on the
+        # k-normalized map halves, so the two solves certify at different steps
+        ks = geometric_schedule()
+        compared = 0
+        for A in self.MATRICES:
+            doubled = normalized_trajectory(2.0 * A, ks)
+            traj = normalized_trajectory(A, [2.0 * k for k in ks])
+            for p, q in self.common_points(doubled, traj, lambda k: 2.0 * k):
+                assert np.abs(p - 2.0 * q).max() < 1e-12
+                compared += 1
+        assert compared >= 0.9 * len(self.MATRICES) * len(ks)
+
+
 class TestEstimate:
     def test_figure7(self):
         traj = normalized_trajectory(FIG7, geometric_schedule())
@@ -300,9 +351,9 @@ def test_oracle_agreement_invariant():
                 rho, x = perron_float_oracle(A, k)
             except OracleError:
                 continue
-            s, v, _, _ = log_perron_eigenpair(A, k)
+            s, v, _ = eigenpair(A, k)
             assert abs(s - math.log(rho)) < 1e-8
-            assert np.abs(oracle_log_coords(x) - np.array(v.coords)).max() < 1e-8
+            assert np.abs(oracle_log_coords(x) - v).max() < 1e-8
             compared += 1
     assert compared >= 6
 
