@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -364,17 +365,69 @@ def zero_diagonal(n: int, rng: np.random.Generator, values) -> np.ndarray:
     return A
 
 
+def gemm_bound(B, C) -> float:
+    """Bound on the GEMM path's distance from the n^3 formula.
+
+    Each output is r + c + log(P) with |r + c| <= max|B| + max|C|, and each
+    rounding on the way (B - r, exp, the GEMM's sums, log, the final sum)
+    moves it by a few eps of that size.
+    """
+    return 4 * np.finfo(float).eps * (np.abs(B).max() + np.abs(C).max())
+
+
 class TestLogMatmul:
     def test_matches_one_tensor_oracle(self):
-        # n below, at and past the row block height, and not a multiple of it
+        # n below, at and past the row block height and the GEMM cut-over,
+        # and not a multiple of either; below the cut-over the row-blocked
+        # kernel runs and is bit-identical to the oracle
         rng = np.random.default_rng(7)
         for n in (1, 2, 3, 15, 16, 17, 33, 70):
             B = rng.uniform(-40.0, 5.0, (n, n))
             C = rng.uniform(-40.0, 5.0, (n, n))
-            assert np.array_equal(perron._log_matmul(B, C), log_matmul_oracle(B, C))
-            assert np.array_equal(perron._log_matmul(B, B), log_matmul_oracle(B, B))
+            for X, Y in ((B, C), (B, B)):
+                got, want = perron._log_matmul(X, Y), log_matmul_oracle(X, Y)
+                if n < perron._GEMM_MIN_N:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.abs(got - want).max() <= gemm_bound(X, Y)
+
+    def test_underflowed_rows_fall_back_to_blocked_kernel(self, monkeypatch):
+        # rows 3 and 5 of B sit 900 and 700 below their maximum but for one
+        # entry, whose row of C sits 900 (row 3) or, in its first 12 columns,
+        # 700 (row 5) below the column maxima: scaled GEMM row 3 is all zeros
+        # and row 5 has 12 entries near 1e-303 and 12 above 1e-3
+        n = 24
+        rng = np.random.default_rng(5)
+        B = rng.uniform(-5.0, 0.0, (n, n))
+        C = rng.uniform(-5.0, 0.0, (n, n))
+        B[3] = -900.0
+        B[3, 0] = 0.0
+        C[0] = -900.0
+        B[5] = -700.0
+        B[5, 1] = 0.0
+        C[1, :12] = -700.0
+        fallback_rows = []
+        blocked = perron._log_matmul_blocked
+
+        def recording(X, Y):
+            fallback_rows.append(len(X))
+            return blocked(X, Y)
+
+        monkeypatch.setattr(perron, "_log_matmul_blocked", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = perron._log_matmul(B, C)
+        want = log_matmul_oracle(B, C)
+        assert fallback_rows == [2]
+        assert np.array_equal(got[[3, 5]], want[[3, 5]])
+        rest = np.delete(np.arange(n), [3, 5])
+        assert np.abs(got[rest] - want[rest]).max() <= gemm_bound(B, C)
 
     def test_trajectory_bit_identical_under_oracle(self, monkeypatch):
+        # bit for bit below the GEMM cut-over (n=3); at n=24 and n=40 the
+        # GEMM sums in another order, so the samples must agree in k and
+        # iterations and their points and eigenvalues within the solver's
+        # own certification tolerance
         rng = np.random.default_rng(11)
         half_grid = -0.5 * np.arange(1, 13)  # -1/2, -1, ..., -6
         squarings = 0
@@ -387,11 +440,20 @@ class TestLogMatmul:
         for n in (3, 24, 40):
             A = zero_diagonal(n, rng, half_grid)
             ks = geometric_schedule(4.0, 10)
-            blocked = normalized_trajectory(A, ks)
+            library = normalized_trajectory(A, ks)
             with monkeypatch.context() as m:
                 m.setattr(perron, "_log_matmul", counting_oracle)
                 reference = normalized_trajectory(A, ks)
-            assert blocked == reference
+            if n < perron._GEMM_MIN_N:
+                assert library == reference
+                continue
+            assert library.failures == reference.failures == ()
+            assert [(s.k, s.iterations) for s in library.samples] == [
+                (s.k, s.iterations) for s in reference.samples
+            ]
+            for s, t in zip(library.samples, reference.samples):
+                assert abs(s.log_rho_over_k - t.log_rho_over_k) <= perron._TOL
+                assert np.allclose(s.point.coords, t.point.coords, rtol=0, atol=perron._TOL)
         assert squarings > 0  # the accelerator ran
 
     def test_temporaries_below_one_cube(self, monkeypatch):
