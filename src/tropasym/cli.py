@@ -35,6 +35,9 @@ from .spectral import spectral_data
 # largest sup-norm gap at which a measured limit matches its prediction
 _MATCH_TOL = 1e-2
 
+# random draws a conjectures campaign makes before it reports what it found
+_MAX_ATTEMPTS = 20000
+
 
 class InputError(Exception):
     pass
@@ -127,34 +130,17 @@ def cmd_schur(args) -> int:
         B, A = M, M.negate()
     else:
         A, B = M, M.negate()
-    report = candidate_exponents(B, normalization=args.normalization)
+    report = candidate_exponents(B)
     traj = _trajectory(A, args)
     est = estimate_p_infinity(traj)
-    verdicts = compare_prediction(A, report, est, tol=args.match_tol)
+    verdicts = compare_prediction(A, report, est, tol=_MATCH_TOL)
     _emit(report_to_json(report, verdicts), args.out)
     return 0
 
 
 def cmd_figures(args) -> int:
-    rows = figs.figure_report(k0=args.k0, doublings=args.doublings)
-    if args.format == "csv":
-        lines = ["name,lambda,flag,caption_pinf,estimated_pinf,caption_distance"]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        r["name"],
-                        r["lambda"],
-                        r["flag"],
-                        "(" + " ".join(r["caption_pinf"]) + ")",
-                        "(" + " ".join(repr(x) for x in r["estimated_pinf"]) + ")",
-                        repr(r["caption_distance"]),
-                    ]
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json.dumps(rows, indent=2), args.out)
+    rows = figs.figure_report(geometric_schedule(args.k0, args.doublings))
+    _emit(json.dumps(rows, indent=2), args.out)
     return 0
 
 
@@ -190,29 +176,27 @@ def cmd_conjectures(args) -> int:
 
     chains, c1_verdicts = [], []
     attempts = 0
-    while len(chains) < args.chains and attempts < args.max_attempts:
+    while len(chains) < args.chains and attempts < _MAX_ATTEMPTS:
         attempts += 1
-        A = conj.random_matrix(3, grid_step=args.grid_step, seed=rng)
+        A = conj.random_matrix(3, seed=rng)
         gens = spectral_data(A).generators
         if len(gens) < 2 or conj.translation_chain(gens) is None:
             continue
         chains.append(A)
-        c1_verdicts.append(conj.conjecture1_test(A, tol=args.match_tol, schedule=schedule))
+        c1_verdicts.append(conj.conjecture1_test(A, tol=_MATCH_TOL, schedule=schedule))
     report["conjecture1"] = _verdict_summary(c1_verdicts)
 
     bases, c2_verdicts = [], []
-    while len(bases) < args.families and attempts < args.max_attempts:
+    while len(bases) < args.families and attempts < _MAX_ATTEMPTS:
         attempts += 1
-        A = conj.random_matrix(3, grid_step=args.grid_step, seed=rng)
+        A = conj.random_matrix(3, seed=rng)
         perts = conj.eigenspace_preserving_perturbations(
-            A, count=args.perturbations, magnitude=2, seed=rng.randrange(2**32)
+            A, count=args.perturbations, seed=rng.randrange(2**32)
         )
         if len(perts) < args.perturbations:
             continue
         bases.append(A)
-        c2_verdicts.append(
-            conj.conjecture2_test(A, perts, tol=args.match_tol, schedule=schedule)
-        )
+        c2_verdicts.append(conj.conjecture2_test(A, perts, tol=_MATCH_TOL, schedule=schedule))
     report["conjecture2"] = _verdict_summary(c2_verdicts)
 
     dataset_rows = [
@@ -255,13 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("schur", help="candidate exponent pipeline report")
     common(sp)
-    sp.add_argument("--normalization", choices=["row", "column"], default="row")
-    sp.add_argument("--match-tol", dest="match_tol", type=float, default=_MATCH_TOL)
     sp.set_defaults(func=cmd_schur)
 
     sp = sub.add_parser("figures", help="bundled reference matrices, with caption flags")
     common(sp, matrix=False)
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(func=cmd_figures)
 
     sp = sub.add_parser("plot", help="SVG of the eigenspace region and trajectory")
@@ -275,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--chains", type=int, default=20, help="chain matrices to test")
     sp.add_argument("--families", type=int, default=5, help="perturbation families to test")
     sp.add_argument("--perturbations", type=int, default=3)
-    sp.add_argument("--grid-step", dest="grid_step", default="1")
-    sp.add_argument("--match-tol", dest="match_tol", type=float, default=_MATCH_TOL)
-    sp.add_argument("--max-attempts", dest="max_attempts", type=int, default=20000)
     sp.add_argument("--dataset", help="path for the JSON-lines sample dataset")
     sp.set_defaults(func=cmd_conjectures)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +37,10 @@ from .spectral import (
     spectral_data,
 )
 
+# a perturbation moves one off-diagonal entry by a nonzero multiple of
+# _PERTURBATION_STEP, at most _PERTURBATION_MAGNITUDE in size
 _PERTURBATION_STEP = Fraction(1, 2)
+_PERTURBATION_MAGNITUDE = 2
 
 # candidates eigenspace_preserving_perturbations draws per requested member
 _ATTEMPTS_PER_MEMBER = 400
@@ -140,25 +142,22 @@ def conjecture1_test(
 def eigenspace_preserving_perturbations(
     A: TropicalMatrix,
     count: int,
-    magnitude,
     seed: int,
 ) -> list[TropicalMatrix]:
     """Rejection-sample single-entry perturbations that leave the eigenspace alone.
 
-    A candidate adds a nonzero multiple of 1/2, at most `magnitude` in size,
-    to one off-diagonal entry; it is accepted iff its eigenvalue and its
-    generator set both match the original exactly.  A candidate drawn again
-    is skipped, so the members are distinct.  Deterministic given the seed;
-    warns and returns fewer matrices when its _ATTEMPTS_PER_MEMBER * count
-    draws run out.
+    A candidate adds a nonzero multiple of 1/2, at most 2 in size, to one
+    off-diagonal entry; it is accepted iff its eigenvalue and its generator
+    set both match the original exactly.  A candidate drawn again is
+    skipped, so the members are distinct.  Deterministic given the seed.
+    Returns fewer than `count` matrices when its _ATTEMPTS_PER_MEMBER * count
+    draws run out or every candidate has been tried; callers read the
+    length, since many matrices have no such perturbation.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    magnitude = as_rational(magnitude)
-    if magnitude <= 0:
-        raise ValueError("magnitude must be positive")
     rng = random.Random(seed)
-    steps = int(magnitude / _PERTURBATION_STEP)
+    steps = int(_PERTURBATION_MAGNITUDE / _PERTURBATION_STEP)
     sd0 = spectral_data(A)
     accepted: list[TropicalMatrix] = []
     # distinct (entry, delta) draws give distinct matrices; once every one of
@@ -183,10 +182,6 @@ def eigenspace_preserving_perturbations(
             continue
         if _same_span(sd0.generators, spectral_data(B).generators):
             accepted.append(B)
-    if len(accepted) < count:
-        warnings.warn(
-            f"found only {len(accepted)}/{count} eigenspace-preserving perturbations"
-        )
     return accepted
 
 

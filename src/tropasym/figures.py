@@ -12,15 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import Sequence
 
 from .core import MAX_PLUS, ProjectivePoint, TropicalMatrix, as_rational, in_span
-from .perron import (
-    DEFAULT_DOUBLINGS,
-    DEFAULT_K0,
-    estimate_p_infinity,
-    geometric_schedule,
-    normalized_trajectory,
-)
+from .perron import estimate_p_infinity, normalized_trajectory
 from .spectral import spectral_data
 
 CONSISTENT = "CONSISTENT"
@@ -58,12 +53,9 @@ def load_cases() -> list[FigureCase]:
     return cases
 
 
-def figure_report(
-    k0: float = DEFAULT_K0, doublings: int = DEFAULT_DOUBLINGS
-) -> list[dict]:
+def figure_report(schedule: Sequence[float]) -> list[dict]:
     """One row per bundled case: spectral data, measured limit, caption flag."""
     rows = []
-    schedule = geometric_schedule(k0, doublings)
     for case in load_cases():
         sd = spectral_data(case.matrix)
         caption_ok = in_span(case.caption_pinf, sd.generators)

@@ -6,12 +6,11 @@ this on critical node sets produces a level sequence whose eigenvalues
 normalize the base matrix; the star of the normalized matrix then yields
 candidate exponent vectors for the asymptotic eigenvector analysis.
 
-The normalization of the base matrix is a documented choice (subtract from
-row i the eigenvalue of the level at which node i was eliminated); a column
-variant is available behind the `normalization` switch.  Candidates are
-predictions to be checked, not guarantees: compare_prediction reports for
-each one whether it lies in the max-plus eigenspace and whether it matches a
-numerically estimated limit.
+The base matrix is normalized by subtracting from row i the eigenvalue of
+the level at which node i was eliminated.  Candidates are predictions to be
+checked, not guarantees: compare_prediction reports for each one whether it
+lies in the max-plus eigenspace and whether it matches a numerically
+estimated limit.
 """
 
 from __future__ import annotations
@@ -123,17 +122,15 @@ class SchurReport:
     candidates: tuple[Candidate, ...]
 
 
-def candidate_exponents(B: TropicalMatrix, normalization: str = "row") -> SchurReport:
+def candidate_exponents(B: TropicalMatrix) -> SchurReport:
     """Candidate exponent vectors from the star of the normalized base matrix.
 
-    B_hat subtracts from each entry the eigenvalue of the level at which the
-    row node (or column node, per `normalization`) was eliminated.  Each
-    column v of the min-plus star of B_hat maps to the projective point
-    normalize(-v); columns are deduplicated projectively.
+    B_hat subtracts from each entry the eigenvalue of the level at which its
+    row node was eliminated.  Each column v of the min-plus star of B_hat
+    maps to the projective point normalize(-v); columns are deduplicated
+    projectively.
     """
     _require_min_plus(B, "candidate_exponents")
-    if normalization not in ("row", "column"):
-        raise ValueError("normalization must be 'row' or 'column'")
     levels = schur_sequence(B)
     removal_level: dict[int, Fraction] = {}
     for lv in levels:
@@ -148,10 +145,7 @@ def candidate_exponents(B: TropicalMatrix, normalization: str = "row") -> SchurR
         removal_level[i].numerator * (den // removal_level[i].denominator)
         for i in range(n)
     ]
-    if normalization == "row":
-        nums = tuple(tuple(f * x - d for x in row) for row, d in zip(B.nums, drop))
-    else:
-        nums = tuple(tuple(f * x - d for x, d in zip(row, drop)) for row in B.nums)
+    nums = tuple(tuple(f * x - d for x in row) for row, d in zip(B.nums, drop))
     b_hat = TropicalMatrix(nums, den, MIN_PLUS)
     star = kleene_star(b_hat)  # StarDivergenceError names the offending cycle
     cands: list[Candidate] = []

@@ -581,20 +581,14 @@ def schur_sequence_oracle(B: TropicalMatrix) -> list[SchurLevel]:
     return levels
 
 
-def candidate_exponents_oracle(B: TropicalMatrix, normalization: str = "row") -> SchurReport:
+def candidate_exponents_oracle(B: TropicalMatrix) -> SchurReport:
     """candidate_exponents on the oracle kernels, B_hat built entry by entry in Fractions."""
     levels = schur_sequence_oracle(B)
     removal_level = {
         node: lv.eigenvalue for lv in levels for cls in lv.removed_classes for node in cls
     }
     n = B.n
-    ent = [
-        [
-            B.entries[i][j] - removal_level[i if normalization == "row" else j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    ent = [[B.entries[i][j] - removal_level[i] for j in range(n)] for i in range(n)]
     b_hat = TropicalMatrix.from_rows(ent, MIN_PLUS)
     star = kleene_star_oracle(b_hat)
     cands = []

@@ -145,10 +145,6 @@ class TestCandidates:
         assert report.b_hat == minplus([[0, 5], [4, 0]])
         assert {c.tp_point for c in report.candidates} == {pp(0, -4), pp(0, 5)}
 
-    def test_column_switch(self):
-        report = candidate_exponents(minplus([[0, 5], [5, 1]]), normalization="column")
-        assert report.b_hat == minplus([[0, 4], [5, 0]])
-
     def test_out_of_span_candidates_reported_not_errors(self):
         B = minplus([[0, 5], [5, 1]])
         A = B.negate()
