@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on input errors, 2 on numerical failures.
-Randomized commands refuse to run without an explicit --seed so that every
-report is reproducible.
+A matrix is a max-plus matrix given as a JSON array of rows.  Commands that
+solve trajectories sample them at k = 4 * 2^i for i = 0 .. --doublings.
+Exit codes: 0 on success, 1 on input errors, 2 on numerical failures.  A
+campaign that cannot find its counts within its draw budget is an input
+error.  Randomized commands refuse to run without an explicit --seed so that
+every report is reproducible.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from pathlib import Path
 
 from . import conjectures as conj
 from . import figures as figs
-from .core import MAX_PLUS, MIN_PLUS, TropicalMatrix
+from .core import TropicalMatrix
 from .perron import (
     DEFAULT_DOUBLINGS,
-    DEFAULT_K0,
     EstimateError,
     estimate_p_infinity,
     geometric_schedule,
@@ -35,59 +37,45 @@ from .spectral import spectral_data
 # largest sup-norm gap at which a measured limit matches its prediction
 _MATCH_TOL = 1e-2
 
-# random draws a conjectures campaign makes before it reports what it found
+# random draws a conjectures campaign may make to find its counts
 _MAX_ATTEMPTS = 20000
-
-
-class InputError(Exception):
-    pass
 
 
 def _entry_to_rational(x) -> Fraction:
     if isinstance(x, bool):
-        raise InputError("boolean matrix entry")
+        raise ValueError("boolean matrix entry")
     if isinstance(x, float):
         return Fraction(repr(x))  # decimal reading of the literal
     return Fraction(x)
 
 
 def _matrix_from_obj(obj) -> TropicalMatrix:
-    if isinstance(obj, list):
-        rows, semiring = obj, MAX_PLUS
-    elif isinstance(obj, dict):
-        rows = obj.get("entries")
-        semiring = obj.get("semiring", MAX_PLUS)
-        if not isinstance(rows, list):
-            raise InputError('matrix object must carry an "entries" array of rows')
-        if "n" in obj and obj["n"] != len(rows):
-            raise InputError(f'declared size {obj["n"]} does not match {len(rows)} rows')
-    else:
-        raise InputError("matrix must be a JSON array or object")
-    if not all(isinstance(row, list) for row in rows):
-        raise InputError("every matrix row must be a JSON array")
+    if not isinstance(obj, list):
+        raise ValueError("matrix must be a JSON array of rows")
+    if not all(isinstance(row, list) for row in obj):
+        raise ValueError("every matrix row must be a JSON array")
     try:
-        ent = [[_entry_to_rational(x) for x in row] for row in rows]
-        return TropicalMatrix.from_rows(ent, semiring)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(str(exc)) from exc
+        return TropicalMatrix.from_rows([[_entry_to_rational(x) for x in row] for row in obj])
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def load_matrix(args) -> TropicalMatrix:
     if args.matrix is not None and args.input is not None:
-        raise InputError("pass either --matrix or --input, not both")
+        raise ValueError("pass either --matrix or --input, not both")
     if args.matrix is not None:
         text = args.matrix
     elif args.input is not None:
         try:
             text = Path(args.input).read_text()
         except OSError as exc:
-            raise InputError(f"cannot read {args.input}: {exc}") from exc
+            raise ValueError(f"cannot read {args.input}: {exc}") from exc
     else:
-        raise InputError("a matrix is required (--matrix JSON or --input FILE)")
+        raise ValueError("a matrix is required (--matrix JSON or --input FILE)")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(
+        raise ValueError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     return _matrix_from_obj(obj)
@@ -95,7 +83,7 @@ def load_matrix(args) -> TropicalMatrix:
 
 def _trajectory(A: TropicalMatrix, args):
     """A's trajectory along the command's schedule."""
-    return normalized_trajectory(A.to_floats(), geometric_schedule(args.k0, args.doublings))
+    return normalized_trajectory(A.to_floats(), geometric_schedule(args.doublings))
 
 
 def _emit(text: str, out: str | None):
@@ -125,12 +113,8 @@ def cmd_perron(args) -> int:
 
 
 def cmd_schur(args) -> int:
-    M = load_matrix(args)
-    if M.semiring == MIN_PLUS:
-        B, A = M, M.negate()
-    else:
-        A, B = M, M.negate()
-    report = candidate_exponents(B)
+    A = load_matrix(args)
+    report = candidate_exponents(A.negate())
     traj = _trajectory(A, args)
     est = estimate_p_infinity(traj)
     verdicts = compare_prediction(A, report, est, tol=_MATCH_TOL)
@@ -139,7 +123,7 @@ def cmd_schur(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    rows = figs.figure_report(geometric_schedule(args.k0, args.doublings))
+    rows = figs.figure_report(geometric_schedule(args.doublings))
     _emit(json.dumps(rows, indent=2), args.out)
     return 0
 
@@ -147,7 +131,7 @@ def cmd_figures(args) -> int:
 def cmd_plot(args) -> int:
     A = load_matrix(args)
     if A.n != 3:
-        raise InputError(
+        raise ValueError(
             "plot requires n = 3: only TP^2 projects to the plane for drawing"
         )
     sd = spectral_data(A)
@@ -169,8 +153,8 @@ def _verdict_summary(verdicts) -> dict:
 
 def cmd_conjectures(args) -> int:
     if args.seed is None:
-        raise InputError("--seed is required for randomized commands")
-    schedule = geometric_schedule(args.k0, args.doublings)
+        raise ValueError("--seed is required for randomized commands")
+    schedule = geometric_schedule(args.doublings)
     rng = random.Random(args.seed)
     report: dict = {"seed": args.seed}
 
@@ -198,6 +182,11 @@ def cmd_conjectures(args) -> int:
         bases.append(A)
         c2_verdicts.append(conj.conjecture2_test(A, perts, tol=_MATCH_TOL, schedule=schedule))
     report["conjecture2"] = _verdict_summary(c2_verdicts)
+    if len(chains) < args.chains or len(bases) < args.families:
+        raise ValueError(
+            f"{attempts} draws found {len(chains)} of {args.chains} chains"
+            f" and {len(bases)} of {args.families} families"
+        )
 
     dataset_rows = [
         (A, v.spectra[0], v.estimates[0], args.seed)
@@ -225,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--input", help="path to a matrix JSON file")
             sp.add_argument("--matrix", help="inline matrix JSON")
         if solver:
-            sp.add_argument("--k0", type=float, default=DEFAULT_K0)
             sp.add_argument("--doublings", type=int, default=DEFAULT_DOUBLINGS)
         sp.add_argument("--out", help="output path (default: stdout)")
 
@@ -267,7 +255,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EstimateError, ArithmeticError) as exc:

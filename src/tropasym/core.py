@@ -121,9 +121,6 @@ class TropicalMatrix:
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def transpose(self) -> "TropicalMatrix":
-        return TropicalMatrix(tuple(zip(*self.nums)), self.den, self.semiring)
-
     def negate(self) -> "TropicalMatrix":
         """Entrywise negation, switching the semiring tag (max-plus <-> min-plus)."""
         other = MIN_PLUS if self.semiring == MAX_PLUS else MAX_PLUS
@@ -242,9 +239,6 @@ class ProjectivePoint:
     def dim(self) -> int:
         return len(self.coords)
 
-    def __iter__(self):
-        return iter(self.coords)
-
     def to_floats(self) -> tuple[float, ...]:
         return tuple(float(x) for x in self.coords)
 
@@ -301,9 +295,6 @@ class FloatPoint:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
 
 
 def float_point(v: Iterable[float]) -> FloatPoint:

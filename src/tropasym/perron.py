@@ -49,7 +49,7 @@ import numpy as np
 
 from .core import FloatPoint, float_point, span_distance
 
-# the sampling schedule k0 * 2^i, i = 0..doublings: k = 4 to 2^14
+# the sampling schedule DEFAULT_K0 * 2^i, i = 0..doublings: k = 4 to 2^14
 DEFAULT_K0 = 4.0
 DEFAULT_DOUBLINGS = 12
 
@@ -258,12 +258,6 @@ class PerronTrajectory:
     samples: tuple[PerronSample, ...]
     failures: tuple[FailedSample, ...] = ()
 
-    def sample_at(self, k: float) -> PerronSample | None:
-        for s in self.samples:
-            if s.k == k:
-                return s
-        return None
-
 
 @dataclass(frozen=True)
 class PinfEstimate:
@@ -311,11 +305,9 @@ def trajectory_csv(traj: PerronTrajectory, gens: Sequence[Sequence[float]]) -> s
     return "\n".join(lines) + "\n"
 
 
-def geometric_schedule(
-    k0: float = DEFAULT_K0, doublings: int = DEFAULT_DOUBLINGS
-) -> list[float]:
+def geometric_schedule(doublings: int = DEFAULT_DOUBLINGS) -> list[float]:
     try:
-        return [k0 * 2.0**i for i in range(doublings + 1)]
+        return [DEFAULT_K0 * 2.0**i for i in range(doublings + 1)]
     except OverflowError:  # 2.0**i for i >= 1024
         raise ValueError("schedule values must be finite and positive") from None
 

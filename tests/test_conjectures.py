@@ -268,7 +268,7 @@ class TestDataset:
         batch = []
         for M in (FIG7, FIG8):
             sd = spectral_data(M)
-            traj = normalized_trajectory(M.to_floats(), geometric_schedule(4.0, 8))
+            traj = normalized_trajectory(M.to_floats(), geometric_schedule(8))
             est = estimate_p_infinity(traj)
             batch.append((M, sd, est, 42))
         export_samples(batch, path)

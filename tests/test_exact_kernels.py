@@ -95,13 +95,14 @@ def test_kleene_star_matches_oracle(semiring):
 def test_max_cycle_mean_matches_oracle():
     for A in matrices(2):
         assert max_cycle_mean(A) == karp_oracle(A), A.n
-        assert max_cycle_mean(A.transpose()) == karp_oracle(A.transpose()), A.n
+        B = TropicalMatrix(tuple(zip(*A.nums)), A.den)
+        assert max_cycle_mean(B) == karp_oracle(B), A.n
 
 
 def test_spectral_data_matches_oracle():
     for A in matrices(3):
         assert spectral_data(A) == spectral_data_oracle(A), A.n
-        B = A.transpose()
+        B = TropicalMatrix(tuple(zip(*A.nums)), A.den)
         assert spectral_data(B) == spectral_data_oracle(B), A.n
 
 

@@ -123,7 +123,7 @@ class TestFloatOracle:
 
 class TestTrajectory:
     def test_figure2_final_sample(self):
-        traj = normalized_trajectory(FIG2, geometric_schedule(4.0, 10))
+        traj = normalized_trajectory(FIG2, geometric_schedule(10))
         last = traj.samples[-1]
         assert last.k == 4096.0
         target = np.array([0.0, -0.25, -0.25])
@@ -153,7 +153,7 @@ class TestTrajectory:
             with pytest.raises(ValueError, match="finite"):
                 normalized_trajectory(FIG2, bad)
         with pytest.raises(ValueError, match="finite"):
-            geometric_schedule(4.0, 1030)
+            geometric_schedule(1030)
 
     def test_failures_recorded_not_fatal(self, monkeypatch):
         monkeypatch.setattr(perron, "_TOL", 0.0)
@@ -177,8 +177,8 @@ class TestTrajectory:
     def test_scale_equivariance(self):
         c = 0.75
         shifted = [[x + c for x in row] for row in FIG2]
-        t1 = normalized_trajectory(FIG2, geometric_schedule(4.0, 6))
-        t2 = normalized_trajectory(shifted, geometric_schedule(4.0, 6))
+        t1 = normalized_trajectory(FIG2, geometric_schedule(6))
+        t2 = normalized_trajectory(shifted, geometric_schedule(6))
         for a, b in zip(t1.samples, t2.samples):
             assert b.log_rho_over_k - a.log_rho_over_k == pytest.approx(c, abs=1e-10)
             assert np.abs(np.array(a.point.coords) - np.array(b.point.coords)).max() < 1e-10
@@ -206,7 +206,7 @@ def grid_matrices(n: int, m: int, seed: int) -> list[np.ndarray]:
 
 
 class TestTrajectoryOracle:
-    SCHEDULE = geometric_schedule(4.0, 8)
+    SCHEDULE = geometric_schedule(8)
 
     def test_equals_oracle(self, monkeypatch):
         accelerated = []
@@ -249,9 +249,9 @@ class TestMetamorphic:
     @staticmethod
     def common_points(t1, t2, k_of=lambda k: k):
         """Point pairs of the t1 samples at k and the t2 samples at k_of(k)."""
-        pairs = []
+        pairs, by_k = [], {s.k: s for s in t2.samples}
         for s in t1.samples:
-            other = t2.sample_at(k_of(s.k))
+            other = by_k.get(k_of(s.k))
             if other is not None:
                 pairs.append((np.array(s.point.coords), np.array(other.point.coords)))
         return pairs
@@ -439,7 +439,7 @@ class TestLogMatmul:
 
         for n in (3, 24, 40):
             A = zero_diagonal(n, rng, half_grid)
-            ks = geometric_schedule(4.0, 10)
+            ks = geometric_schedule(10)
             library = normalized_trajectory(A, ks)
             with monkeypatch.context() as m:
                 m.setattr(perron, "_log_matmul", counting_oracle)
