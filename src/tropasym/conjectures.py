@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -21,6 +22,7 @@ from .core import (
     MAX_PLUS,
     ProjectivePoint,
     TropicalMatrix,
+    _common_nums,
     as_rational,
     span_distance,
 )
@@ -72,20 +74,21 @@ def translation_chain(gens: Sequence[ProjectivePoint]) -> TranslationChain | Non
     """
     if not gens:
         raise ValueError("need at least one generator")
-    base = gens[0]
-    shifts: list[Fraction] = []
-    for g in gens:
-        diff = [a - b for a, b in zip(g.coords, base.coords)]
-        tail = diff[1:]
+    den, nums = _common_nums(gens)
+    base = nums[0]
+    shifts: list[int] = []
+    for g in nums:
+        tail = [a - b for a, b in zip(g[1:], base[1:])]
         if tail and any(x != tail[0] for x in tail[1:]):
             return None
-        shifts.append(tail[0] if tail else Fraction(0))
+        shifts.append(tail[0] if tail else 0)
     lo, hi = min(shifts), max(shifts)
     bottom = gens[shifts.index(lo)]
+    beta = Fraction(hi - lo, den)
     return TranslationChain(
         base=bottom,
-        beta=hi - lo,
-        predicted=bottom.translate_tail(hi - lo),
+        beta=beta,
+        predicted=bottom.translate_tail(beta),
     )
 
 
@@ -159,6 +162,10 @@ def eigenspace_preserving_perturbations(
     rng = random.Random(seed)
     steps = int(_PERTURBATION_MAGNITUDE / _PERTURBATION_STEP)
     sd0 = spectral_data(A)
+    # A's numerators over den, on which the step is the numerator `unit`
+    den = math.lcm(A.den, _PERTURBATION_STEP.denominator)
+    unit = _PERTURBATION_STEP.numerator * (den // _PERTURBATION_STEP.denominator)
+    base = tuple(tuple(x * (den // A.den) for x in row) for row in A.nums)
     accepted: list[TropicalMatrix] = []
     # distinct (entry, delta) draws give distinct matrices; once every one of
     # them has been tried, further draws cannot add a member
@@ -175,9 +182,9 @@ def eigenspace_preserving_perturbations(
         if step == 0 or (i, j, step) in tried:
             continue
         tried.add((i, j, step))
-        rows = [list(r) for r in A.entries]
-        rows[i][j] = rows[i][j] + _PERTURBATION_STEP * step
-        B = TropicalMatrix.from_rows(rows, A.semiring)
+        row = list(base[i])
+        row[j] += unit * step
+        B = TropicalMatrix(base[:i] + (tuple(row),) + base[i + 1 :], den, A.semiring)
         if max_cycle_mean(B) != sd0.lam:
             continue
         if _same_span(sd0.generators, spectral_data(B).generators):
@@ -220,33 +227,42 @@ def conjecture2_test(
 
 def random_matrix(
     n: int,
-    grid_step=Fraction(1),
-    entry_range=(Fraction(-6), Fraction(2)),
+    grid_step=1,
+    entry_range=(-6, 2),
     seed: int | random.Random = 0,
 ) -> TropicalMatrix:
     """Zero-diagonal matrix with off-diagonal entries on a rational grid.
 
     The zero diagonal makes every node critical through its own loop, and the
     coarse grid induces the ties that create several critical classes, which
-    is the regime of interest.
+    is the regime of interest.  Grid and range are exact rationals (ints,
+    decimal strings or Fractions), and each off-diagonal entry is
+    lo + grid_step * r for one uniform draw r in 0..(hi - lo) / grid_step.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    grid_step = as_rational(grid_step)
-    lo, hi = (as_rational(entry_range[0]), as_rational(entry_range[1]))
-    if grid_step <= 0 or hi <= lo:
-        raise ValueError("bad grid or range")
+    cells, den, base, step = _grid(grid_step, entry_range[0], entry_range[1])
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    cells = int((hi - lo) / grid_step)
-    # entry lo + grid_step * r as a numerator over the grid's denominator
-    den = math.lcm(lo.denominator, grid_step.denominator)
-    base = lo.numerator * (den // lo.denominator)
-    step = grid_step.numerator * (den // grid_step.denominator)
+    # randrange(cells + 1) draws what randint(0, cells) draws, one call fewer
     nums = tuple(
-        tuple(0 if i == j else base + step * rng.randint(0, cells) for j in range(n))
+        tuple(0 if i == j else base + step * rng.randrange(cells + 1) for j in range(n))
         for i in range(n)
     )
     return TropicalMatrix(nums, den, MAX_PLUS)
+
+
+@lru_cache(maxsize=8, typed=True)
+def _grid(grid_step, lo, hi) -> tuple[int, int, int, int]:
+    """random_matrix's grid: its last cell index, and entry lo + grid_step * r
+    as the numerator base + step * r over den, as (cells, den, base, step)."""
+    grid_step, lo, hi = as_rational(grid_step), as_rational(lo), as_rational(hi)
+    if grid_step <= 0 or hi <= lo:
+        raise ValueError("bad grid or range")
+    cells = int((hi - lo) / grid_step)
+    den = math.lcm(lo.denominator, grid_step.denominator)
+    base = lo.numerator * (den // lo.denominator)
+    step = grid_step.numerator * (den // grid_step.denominator)
+    return cells, den, base, step
 
 
 def export_samples(

@@ -4,11 +4,17 @@ Everything in this module is exact and no operation ever rounds.  A matrix
 is plain Python `int` numerators over one positive denominator, in lowest
 terms; `TropicalMatrix.from_rows` is the one place that encodes rationals
 into that form, and `entries` is its read-only `fractions.Fraction` view.
-The kernels (Kleene star, Karp, Schur complement) read the numerators into
-one integer numpy array each and run their O(n^3) passes on it: `int64`
-while the kernel's own bound on the magnitudes it forms stays below 2**62,
-Python ints (dtype object) past that, with the same code for both.  Results
-go back to tuples of Python ints; points and scalar results are `Fraction`s.
+A projective point is stored the same way: `int` numerators over one
+positive denominator, in lowest terms, encoded from rationals only by
+`normalize_projective`, with `coords` its `Fraction` view.  Span membership
+runs on the numerators of the points involved, rescaled to the lcm of their
+denominators.  The kernels (Kleene star, Karp, Schur complement) read the
+numerators into one integer numpy array each and run their O(n^3) passes on
+it: `int64` while the kernel's own bound on the magnitudes it forms stays
+below 2**62, Python ints (dtype object) past that, with the same code for
+both.  (Below n = 6, `spectral` runs Karp and the normalized star on Python
+lists instead, where numpy's per-call cost outweighs the arithmetic.)
+Results go back to tuples of Python ints; scalar results are `Fraction`s.
 Criticality of a cycle is a statement about exact ties, so the whole
 combinatorial layer must stay exact; floating point enters only in the
 numerical companion types at the bottom of the module.
@@ -225,42 +231,77 @@ def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """A tropical projective vector, pinned to first coordinate 0."""
+    """A tropical projective vector pinned to first coordinate 0: coordinate i
+    is nums[i] / den.
 
-    coords: tuple[Fraction, ...]
+    The numerators and the positive denominator are kept in lowest terms
+    (gcd(den, *nums) == 1), so `==` and `hash` compare the rational
+    coordinates.  `normalize_projective` encodes rationals into this form.
+    """
+
+    nums: tuple[int, ...]
+    den: int
 
     def __post_init__(self):
-        if not self.coords:
+        if not self.nums:
             raise ValueError("empty point")
-        if self.coords[0] != 0:
+        if self.nums[0] != 0:
             raise ValueError("first coordinate must be 0; use normalize_projective")
+        if self.den <= 0:
+            raise ValueError("denominator must be positive")
+        g = math.gcd(self.den, *self.nums)
+        if g != 1:
+            object.__setattr__(self, "nums", tuple(x // g for x in self.nums))
+            object.__setattr__(self, "den", self.den // g)
+
+    @cached_property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The rational coordinates, nums[i] / den."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
 
     def to_floats(self) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.coords)
+        # int / int is correctly rounded, so this equals float(coords[i])
+        return tuple(x / self.den for x in self.nums)
 
     def translate_tail(self, c) -> "ProjectivePoint":
         """Add c to every coordinate except the first."""
-        c = as_rational(c)
-        return ProjectivePoint((self.coords[0],) + tuple(x + c for x in self.coords[1:]))
+        p, q = as_rational(c).as_integer_ratio()
+        den = math.lcm(self.den, q)
+        scale, add = den // self.den, p * (den // q)
+        return ProjectivePoint((0,) + tuple(scale * x + add for x in self.nums[1:]), den)
 
 
 def normalize_projective(v: Iterable) -> ProjectivePoint:
-    """Subtract the first coordinate: (v1, ..., vn) -> (0, v2-v1, ..., vn-v1)."""
-    vals = [as_rational(x) for x in v]
-    if not vals:
+    """Subtract the first coordinate: (v1, ..., vn) -> (0, v2-v1, ..., vn-v1).
+
+    The rationals become numerators over their common denominator (the lcm).
+    """
+    ratios = [as_rational(x).as_integer_ratio() for x in v]
+    if not ratios:
         raise ValueError("empty vector")
-    return ProjectivePoint(tuple(x - vals[0] for x in vals))
+    den = math.lcm(*(d for _, d in ratios))
+    nums = [p * (den // d) for p, d in ratios]
+    return ProjectivePoint(tuple(x - nums[0] for x in nums), den)
+
+
+def _common_nums(points: Sequence[ProjectivePoint]) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm of the points' denominators, and each point's numerators over it."""
+    den = math.lcm(*(p.den for p in points))
+    return den, [
+        p.nums if p.den == den else tuple(x * (den // p.den) for x in p.nums)
+        for p in points
+    ]
 
 
 def _span_projection(x: Sequence, gens: Sequence[Sequence]) -> list:
     """Coordinatewise-largest element of span(gens) dominated by x, unnormalized.
 
     lambda_j = min_i (x_i - g_j,i) and proj_i = max_j (lambda_j + g_j,i), on
-    coordinate sequences of rationals or floats alike.
+    integer, rational or float coordinates alike.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -270,12 +311,17 @@ def _span_projection(x: Sequence, gens: Sequence[Sequence]) -> list:
     return [max(lam + g[i] for lam, g in zip(lams, gens)) for i in range(len(x))]
 
 
-def in_span(x: ProjectivePoint, gens: Sequence[ProjectivePoint]) -> bool:
-    """Exact membership of x in the tropical span of the generators.
+def _in_span_nums(x: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:
+    """Membership in the span for numerators over one denominator, x[0] == 0:
+    x is in the span iff its best approximation from below is x itself."""
+    proj = _span_projection(x, gens)
+    return all(p - proj[0] == xi for p, xi in zip(proj, x))
 
-    x is in the span iff its best approximation from below is x itself.
-    """
-    return normalize_projective(_span_projection(x.coords, [g.coords for g in gens])) == x
+
+def in_span(x: ProjectivePoint, gens: Sequence[ProjectivePoint]) -> bool:
+    """Exact membership of x in the tropical span of the generators."""
+    _, (xs, *gs) = _common_nums([x, *gens])
+    return _in_span_nums(xs, gs)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .core import MAX_PLUS, ProjectivePoint, TropicalMatrix, as_rational, in_span
+from .core import MAX_PLUS, ProjectivePoint, TropicalMatrix, in_span, normalize_projective
 from .perron import estimate_p_infinity, normalized_trajectory
 from .spectral import spectral_data
 
@@ -40,14 +40,8 @@ def load_cases() -> list[FigureCase]:
             FigureCase(
                 name=c["name"],
                 matrix=TropicalMatrix.from_rows(c["matrix"], MAX_PLUS),
-                caption_pinf=ProjectivePoint(
-                    tuple(as_rational(x) for x in c["caption_pinf"])
-                ),
-                predicted_candidate=(
-                    ProjectivePoint(tuple(as_rational(x) for x in cand))
-                    if cand
-                    else None
-                ),
+                caption_pinf=normalize_projective(c["caption_pinf"]),
+                predicted_candidate=normalize_projective(cand) if cand else None,
             )
         )
     return cases

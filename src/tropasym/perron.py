@@ -306,10 +306,12 @@ def trajectory_csv(traj: PerronTrajectory, gens: Sequence[Sequence[float]]) -> s
 
 
 def geometric_schedule(doublings: int = DEFAULT_DOUBLINGS) -> list[float]:
-    try:
-        return [DEFAULT_K0 * 2.0**i for i in range(doublings + 1)]
-    except OverflowError:  # 2.0**i for i >= 1024
-        raise ValueError("schedule values must be finite and positive") from None
+    if doublings >= 0:
+        try:
+            return [math.ldexp(DEFAULT_K0, i) for i in range(doublings + 1)]
+        except OverflowError:  # ldexp(4.0, i) for i >= 1022
+            pass
+    raise ValueError("schedule values must be finite and positive")
 
 
 def normalized_trajectory(A, k_schedule: Sequence[float]) -> PerronTrajectory:

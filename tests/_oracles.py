@@ -14,12 +14,17 @@ simple cycle, the eigenvector check evaluates the eigen-equation row by row,
 and the float Perron oracle runs linear-domain power iteration on exp(kA).
 
 The exact kernel oracles are the library's earlier pure-Python kernels, kept
-as differential references for its integer-array ones: a Floyd-Warshall star
+as differential references for its integer-array and list ones (the library
+runs Karp and the normalized star on lists below a size cut-over, each its
+own code): a Floyd-Warshall star
 that runs every round before it looks for a bad cycle, Karp's table built one
 list per row, the Schur complement one row at a time, and the spectral data
 and candidate exponents composed from them with Fraction arithmetic.  Of the
 library's kernel code they share only `StarDivergenceError`, so the
 divergence message and witness cycle come from the same walk on both sides.
+The point oracles are the library's earlier span membership and translation
+chain tests on the Fraction coordinates of points, and the perturbation
+candidate oracle re-encodes each candidate's Fraction rows with from_rows.
 
 Besides the oracles, hadamard_lemma_check is a property check of the
 library's own spectral data under entrywise scaling, and row_coupling_mass
@@ -46,6 +51,7 @@ from tropasym import (
     span_distance,
     spectral_data,
 )
+from tropasym.conjectures import TranslationChain
 from tropasym.core import StarDivergenceError
 from tropasym.perron import FailedSample, PerronSample, PerronTrajectory
 from tropasym.schur import Candidate, SchurLevel, SchurReport
@@ -134,7 +140,7 @@ def hadamard_lemma_check(A: TropicalMatrix, k: int) -> bool:
     if max_cycle_mean(Ak) != k * max_cycle_mean(A):
         return False
     scaled = {
-        ProjectivePoint(tuple(k * x for x in g.coords))
+        normalize_projective(k * x for x in g.coords)
         for g in spectral_data(A).generators
     }
     return set(spectral_data(Ak).generators) == scaled
@@ -452,6 +458,60 @@ def random_matrix_rows(n: int, grid_step, entry_range, seed: int) -> TropicalMat
     return TropicalMatrix.from_rows(rows, MAX_PLUS)
 
 
+def perturbation_candidates_oracle(A: TropicalMatrix, seed: int):
+    """eigenspace_preserving_perturbations' candidates in draw order, each
+    built by adding its multiple of 1/2 to one Fraction entry of A and
+    re-encoding the rows; stops once every candidate has been drawn."""
+    rng = random.Random(seed)
+    steps = 4
+    candidates = A.n * (A.n - 1) * 2 * steps
+    tried = set()
+    while len(tried) < candidates:
+        i = rng.randrange(A.n)
+        j = rng.randrange(A.n)
+        if i == j:
+            continue
+        step = rng.randint(-steps, steps)
+        if step == 0 or (i, j, step) in tried:
+            continue
+        tried.add((i, j, step))
+        rows = [list(r) for r in A.entries]
+        rows[i][j] = rows[i][j] + Fraction(1, 2) * step
+        yield TropicalMatrix.from_rows(rows, A.semiring)
+
+
+def in_span_oracle(x: ProjectivePoint, gens) -> bool:
+    """Span membership on the Fraction coordinates: x is in the span iff its
+    best approximation from below, normalized, is x itself."""
+    if not gens:
+        raise ValueError("need at least one generator")
+    xs, gs = x.coords, [g.coords for g in gens]
+    lams = [min(a - b for a, b in zip(xs, g)) for g in gs]
+    proj = [max(lam + g[i] for lam, g in zip(lams, gs)) for i in range(len(xs))]
+    return tuple(c - proj[0] for c in proj) == xs
+
+
+def same_span_oracle(ga, gb) -> bool:
+    """Mutual span membership of two generator sets, by in_span_oracle."""
+    return all(in_span_oracle(g, gb) for g in ga) and all(in_span_oracle(g, ga) for g in gb)
+
+
+def translation_chain_oracle(gens) -> TranslationChain | None:
+    """translation_chain on the Fraction coordinates: every generator's tail
+    differs from the first generator's by one constant shift."""
+    base = gens[0].coords
+    shifts = []
+    for g in gens:
+        tail = [a - b for a, b in zip(g.coords[1:], base[1:])]
+        if tail and any(x != tail[0] for x in tail[1:]):
+            return None
+        shifts.append(tail[0] if tail else Fraction(0))
+    lo, hi = min(shifts), max(shifts)
+    bottom = gens[shifts.index(lo)]
+    top = normalize_projective([0, *(x + hi - lo for x in bottom.coords[1:])])
+    return TranslationChain(base=bottom, beta=hi - lo, predicted=top)
+
+
 def kleene_star_oracle(A: TropicalMatrix) -> TropicalMatrix:
     """Kleene star by in-place Floyd-Warshall over Python-int numerators.
 
@@ -552,7 +612,7 @@ def spectral_data_oracle(A: TropicalMatrix) -> SpectralData:
         key = tuple(T[i][cls[0]] - T[0][cls[0]] for i in range(n))
         if key not in seen:
             seen.add(key)
-            gens.append(ProjectivePoint(tuple(Fraction(x, s) for x in key)))
+            gens.append(normalize_projective(Fraction(x, s) for x in key))
     return SpectralData(
         lam=lam,
         critical_nodes=frozenset(nodes),

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from tropasym import (
-    ProjectivePoint,
     TropicalMatrix,
     eigenspace_preserving_perturbations,
     estimate_p_infinity,
@@ -21,6 +20,7 @@ from tropasym import (
     kleene_star,
     max_cycle_mean,
     minplus_schur,
+    normalize_projective,
     normalized_trajectory,
     random_matrix,
     span_distance,
@@ -286,7 +286,7 @@ def test_criterion_8_precision_regimes():
 
 def test_criterion_9_counterexample():
     gens = spectral_data(CEX).generators
-    point = ProjectivePoint((F(0), F(0), F(-1)))
+    point = normalize_projective([0, 0, -1])
     member = in_span(point, gens)
     traj = normalized_trajectory(CEX.to_floats(), SCHEDULE)
     est = estimate_p_infinity(traj)

@@ -137,9 +137,10 @@ class TestPerron:
             assert abs(float(cells[2])) == 0.0 and abs(float(cells[3])) < 1e-12
 
     def test_overflowing_schedule_is_an_input_error(self, capsys):
-        code, _, err = run(["perron", "--matrix", FIG2, "--doublings", "1030"], capsys)
-        assert code == 1
-        assert "finite" in err
+        for doublings in ("1022", "1030"):
+            code, _, err = run(["perron", "--matrix", FIG2, "--doublings", doublings], capsys)
+            assert code == 1
+            assert "finite" in err
 
     def test_overflowing_kA_is_an_input_error(self, capsys):
         # 2^14 * 1e305 is beyond double range at the schedule's last k

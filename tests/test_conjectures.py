@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import warnings
@@ -6,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from tropasym import (
-    ProjectivePoint,
     TropicalMatrix,
     conjecture1_test,
     conjecture2_test,
@@ -24,7 +24,11 @@ from tropasym import (
 )
 from tropasym import conjectures
 
-from _oracles import random_matrix_rows
+from _oracles import (
+    perturbation_candidates_oracle,
+    random_matrix_rows,
+    translation_chain_oracle,
+)
 
 F = Fraction
 
@@ -38,7 +42,15 @@ SCHEDULE = geometric_schedule()
 
 
 def pp(*vals):
-    return ProjectivePoint(tuple(F(v) for v in vals))
+    return normalize_projective(vals)
+
+
+def recording(built):
+    """max_cycle_mean that also records each matrix it is given."""
+    def wrapped(B):
+        built.append(B)
+        return max_cycle_mean(B)
+    return wrapped
 
 
 class TestTranslationChain:
@@ -69,6 +81,28 @@ class TestTranslationChain:
         gens_a = [normalize_projective([F(x) for x in v]) for v in raw]
         gens_b = [normalize_projective([F(x) + F(7, 3) for x in v]) for v in raw]
         assert translation_chain(gens_a) == translation_chain(gens_b)
+
+    def test_matches_fraction_oracle(self):
+        # mixed denominators; half the sets are chains by construction
+        rng = random.Random(23)
+        chains = 0
+        for _ in range(300):
+            dim = rng.randint(1, 4)
+            d = rng.choice((1, 2, 3, 4, 6))
+            base = [F(rng.randint(-6 * d, 6 * d), d) for _ in range(dim)]
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                e = rng.choice((1, 2, 3, 4, 6))
+                if rng.random() < 0.5:
+                    a = F(rng.randint(-4 * e, 4 * e), e)
+                    coords = [base[0], *(x + a for x in base[1:])]
+                else:
+                    coords = [F(rng.randint(-6 * e, 6 * e), e) for _ in range(dim)]
+                gens.append(normalize_projective(coords))
+            got = translation_chain(gens)
+            assert got == translation_chain_oracle(gens)
+            chains += got is not None and len(gens) > 1
+        assert chains > 30
 
 
 class TestConjecture1:
@@ -147,16 +181,22 @@ class TestPerturbations:
         # 6 off-diagonal entries x 8 nonzero deltas give 48 candidates, so
         # more than 48 matrices built means draws after the last candidate
         built = []
-        from_rows = TropicalMatrix.from_rows.__func__
-
-        def counting(cls, rows, *args):
-            built.append(rows)
-            return from_rows(cls, rows, *args)
-
-        monkeypatch.setattr(TropicalMatrix, "from_rows", classmethod(counting))
+        monkeypatch.setattr(conjectures, "max_cycle_mean", recording(built))
         got = eigenspace_preserving_perturbations(FIG3, count=3, seed=1)
         assert got == []
         assert 0 < len(built) <= 48
+
+    @pytest.mark.parametrize("A", [FIG8, FIG3, random_matrix(3, grid_step="1/3", seed=4)])
+    def test_candidates_equal_the_rational_construction(self, A, monkeypatch):
+        # each candidate is one changed integer numerator over lcm(den, 2); the
+        # 1/3-grid matrix goes from denominator 3 to 6
+        built = []
+        monkeypatch.setattr(conjectures, "max_cycle_mean", recording(built))
+        for seed in range(5):
+            built.clear()
+            eigenspace_preserving_perturbations(A, count=3, seed=seed)
+            want = list(itertools.islice(perturbation_candidates_oracle(A, seed), len(built)))
+            assert built and built == want
 
     def test_eigenspace_equality_is_transitive_on_chains(self):
         # A ~ B and B ~ C constructed by successive accepted perturbations
@@ -277,7 +317,7 @@ class TestDataset:
         for (m0, s0, e0, seed0), row in zip(batch, back):
             assert TropicalMatrix.from_rows(row["matrix"]) == m0
             gens = tuple(
-                ProjectivePoint(tuple(F(x) for x in g)) for g in row["generators"]
+                normalize_projective(g) for g in row["generators"]
             )
             assert gens == s0.generators
             assert tuple(row["pinf"]) == e0.point.coords

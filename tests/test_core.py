@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,16 @@ from tropasym import (
 )
 from tropasym.core import _span_projection
 from tropasym.schur import minplus_schur
-from tropasym.spectral import max_cycle_mean
+from tropasym.spectral import _same_span, max_cycle_mean
 
-from _oracles import longest_path_table, scale_matrix, trop_add, trop_matmul
+from _oracles import (
+    in_span_oracle,
+    longest_path_table,
+    same_span_oracle,
+    scale_matrix,
+    trop_add,
+    trop_matmul,
+)
 
 F = Fraction
 
@@ -29,7 +37,7 @@ CEX = TropicalMatrix.from_rows([[0, -3, -4], [-1, 0, -2], [-1, -1, 0]])
 
 
 def pp(*vals):
-    return ProjectivePoint(tuple(F(v) for v in vals))
+    return normalize_projective(vals)
 
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
@@ -155,6 +163,37 @@ class TestNormalize:
         assert normalize_projective(shifted) == normalize_projective(v)
 
 
+class TestProjectivePoint:
+    def test_lowest_terms(self):
+        a, b = ProjectivePoint((0, 2, 4), 2), ProjectivePoint((0, 1, 2), 1)
+        assert a == b and hash(a) == hash(b)
+        assert (a.nums, a.den) == ((0, 1, 2), 1)
+        assert ProjectivePoint((0, -3, 6), 9) == normalize_projective([0, "-1/3", "2/3"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=4),
+        st.integers(1, 10**4),
+    )
+    def test_coords_and_floats_are_the_rationals(self, tail, den):
+        x = ProjectivePoint((0, *tail), den)
+        assert x.coords == tuple(F(v, den) for v in (0, *tail))
+        assert x.to_floats() == tuple(float(F(v, den)) for v in (0, *tail))
+        assert x == normalize_projective(x.coords)
+
+    def test_rejected(self):
+        for nums, den in (((), 1), ((1, 0), 1), ((0, 1), 0), ((0, 1), -2)):
+            with pytest.raises(ValueError):
+                ProjectivePoint(nums, den)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(rationals, min_size=1, max_size=4), rationals)
+    def test_translate_tail(self, v, c):
+        x = normalize_projective(v)
+        want = normalize_projective([0, *(a + c for a in x.coords[1:])])
+        assert x.translate_tail(c) == want
+
+
 class TestKleeneStar:
     def test_figure7_columns(self):
         S = kleene_star(FIG7)
@@ -271,6 +310,42 @@ class TestSpanProjection:
             ]
         )
         assert in_span(x, gens) == in_span(x, gens + [combo])
+
+
+def mixed_points(rng, dim, count):
+    """Points with coordinates p/d for d in {1, 2, 3, 4, 6}, mixed within a set."""
+    pts = []
+    for _ in range(count):
+        d = rng.choice((1, 2, 3, 4, 6))
+        pts.append(normalize_projective([F(rng.randint(-6 * d, 6 * d), d) for _ in range(dim)]))
+    return pts
+
+
+def span_member(rng, gens):
+    """A tropical combination max_j (c_j + g_j) of the generators."""
+    cs = [F(rng.randint(-12, 12), rng.choice((1, 2, 3))) for _ in gens]
+    return normalize_projective(
+        [max(c + g.coords[i] for c, g in zip(cs, gens)) for i in range(gens[0].dim)]
+    )
+
+
+class TestSpanOnIntegers:
+    def test_in_span_and_same_span_match_fraction_oracles(self):
+        rng = random.Random(11)
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            dim = rng.randint(1, 4)
+            ga = mixed_points(rng, dim, rng.randint(1, 3))
+            x = span_member(rng, ga) if rng.random() < 0.5 else mixed_points(rng, dim, 1)[0]
+            got = in_span(x, ga)
+            assert got == in_span_oracle(x, ga)
+            seen[got] += 1
+            # the same span spelled with an extra member, or a different span
+            gb = ga + [span_member(rng, ga)] if rng.random() < 0.5 else mixed_points(rng, dim, 2)
+            same = _same_span(ga, gb)
+            assert same == same_span_oracle(ga, gb)
+            seen[same] += 1
+        assert min(seen.values()) > 100  # both outcomes exercised
 
 
 class TestScale:

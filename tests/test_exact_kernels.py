@@ -24,10 +24,11 @@ from tropasym import (
     kleene_star,
     max_cycle_mean,
     minplus_schur,
+    random_matrix,
     schur_sequence,
     spectral_data,
 )
-from tropasym import core
+from tropasym import core, spectral
 from tropasym.core import _int_array
 
 from _oracles import (
@@ -106,6 +107,33 @@ def test_spectral_data_matches_oracle():
         assert spectral_data(B) == spectral_data_oracle(B), A.n
 
 
+def on_path(monkeypatch, path, f, A):
+    """f(A) with spectral's Karp and normalized star forced onto Python lists
+    or integer arrays at A's size, from an empty spectral_data cache."""
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_ARRAY_MIN_N", A.n + 1 if path == "lists" else 0)
+        spectral_data.cache_clear()
+        return f(A)
+
+
+@pytest.mark.parametrize("grid", ["1", "1/2", "1/3"])
+def test_list_kernels_match_oracles_and_arrays(grid, monkeypatch):
+    """Both sides of the size cut-over, on grid matrices with a zero diagonal
+    and on rational ones with any diagonal, raw and lambda-normalized."""
+    rng = random.Random(9)
+    assert 2 < spectral._ARRAY_MIN_N <= 7
+    for n in range(2, 8):
+        for _ in range(25):
+            for A in (random_matrix(n, grid_step=grid, seed=rng), rational_matrix(n, rng)):
+                for X in (A, normalized(A)):
+                    want = spectral_data_oracle(X)
+                    assert spectral_data(X) == want, n
+                    assert max_cycle_mean(X) == want.lam == karp_oracle(X), n
+                    for path in ("lists", "arrays"):
+                        assert on_path(monkeypatch, path, spectral_data, X) == want, (n, path)
+                        assert on_path(monkeypatch, path, max_cycle_mean, X) == want.lam, (n, path)
+
+
 def test_minplus_schur_matches_oracle():
     rng = random.Random(4)
     diverged = 0
@@ -132,7 +160,7 @@ def test_candidate_exponents_matches_oracle():
     assert completed > 0
 
 
-def test_int64_guard_both_sides():
+def test_int64_guard_both_sides(monkeypatch):
     """Numerators just inside int64's guard and well past it give oracle results."""
     rng = random.Random(7)
     n = 4
@@ -154,8 +182,10 @@ def test_int64_guard_both_sides():
             assert outcome(minplus_schur, X.negate(), {0, 2}) == outcome(
                 minplus_schur_oracle, X.negate(), {0, 2}
             )
-        assert max_cycle_mean(A) == karp_oracle(A)
-        assert spectral_data(A) == spectral_data_oracle(A)
+        want = spectral_data_oracle(A)
+        for path in ("lists", "arrays"):
+            assert on_path(monkeypatch, path, max_cycle_mean, A) == karp_oracle(A)
+            assert on_path(monkeypatch, path, spectral_data, A) == want
         assert outcome(candidate_exponents, A.negate()) == outcome(
             candidate_exponents_oracle, A.negate()
         )

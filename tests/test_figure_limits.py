@@ -11,10 +11,10 @@ from fractions import Fraction as F
 import pytest
 
 from tropasym import (
-    ProjectivePoint,
     estimate_p_infinity,
     geometric_schedule,
     in_span,
+    normalize_projective,
     normalized_trajectory,
     spectral_data,
 )
@@ -54,7 +54,7 @@ def figure_trajectories():
 def test_exact_limits(figure_trajectories):
     assert {case.name for case, _ in figure_trajectories} == set(EXACT_LIMITS)
     for case, traj in figure_trajectories:
-        limit = ProjectivePoint(EXACT_LIMITS[case.name])
+        limit = normalize_projective(EXACT_LIMITS[case.name])
         assert in_span(limit, spectral_data(case.matrix).generators), case.name
         est = estimate_p_infinity(traj)
         err = max(abs(float(x) - y) for x, y in zip(limit.coords, est.point.coords))

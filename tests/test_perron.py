@@ -152,8 +152,12 @@ class TestTrajectory:
         for bad in ([math.nan], [4.0, math.nan], [4.0, math.inf]):
             with pytest.raises(ValueError, match="finite"):
                 normalized_trajectory(FIG2, bad)
-        with pytest.raises(ValueError, match="finite"):
-            geometric_schedule(1030)
+        # 4 * 2^1022 overflows, and a negative count would give no schedule
+        for doublings in (-1, 1022, 1023, 1030):
+            with pytest.raises(ValueError, match="finite"):
+                geometric_schedule(doublings)
+        assert geometric_schedule(0) == [4.0]
+        assert geometric_schedule(1021)[-1] == 4.0 * 2.0**1021
 
     def test_failures_recorded_not_fatal(self, monkeypatch):
         monkeypatch.setattr(perron, "_TOL", 0.0)

@@ -7,7 +7,6 @@ import pytest
 from tropasym import (
     MIN_PLUS,
     Candidate,
-    ProjectivePoint,
     StarDivergenceError,
     TropicalMatrix,
     candidate_exponents,
@@ -16,6 +15,7 @@ from tropasym import (
     geometric_schedule,
     in_span,
     minplus_schur,
+    normalize_projective,
     normalized_trajectory,
     random_matrix,
     schur_sequence,
@@ -30,7 +30,7 @@ CEX = TropicalMatrix.from_rows([[0, -3, -4], [-1, 0, -2], [-1, -1, 0]])
 
 
 def pp(*vals):
-    return ProjectivePoint(tuple(F(v) for v in vals))
+    return normalize_projective(vals)
 
 
 def minplus(rows):
@@ -138,7 +138,7 @@ class TestCandidates:
     def test_scalar(self):
         report = candidate_exponents(minplus([[F(2)]]))
         assert len(report.candidates) == 1
-        assert report.candidates[0].tp_point == ProjectivePoint((F(0),))
+        assert report.candidates[0].tp_point == normalize_projective([0])
 
     def test_two_level_normalization(self):
         report = candidate_exponents(minplus([[0, 5], [5, 1]]))
@@ -198,7 +198,7 @@ class TestComparePrediction:
 
     def test_candidate_equal_to_estimate(self, cex_estimate):
         coords = tuple(F(repr(round(x, 6))) for x in cex_estimate.point.coords)
-        cand = Candidate(v=tuple(-x for x in coords), tp_point=ProjectivePoint(coords))
+        cand = Candidate(v=tuple(-x for x in coords), tp_point=normalize_projective(coords))
         report = SchurReport(levels=(), b_hat=CEX.negate(), candidates=(cand,))
         v = compare_prediction(CEX, report, cex_estimate, tol=1e-2)[0]
         assert v.matches_pinf is True

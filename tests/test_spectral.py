@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from tropasym import (
-    ProjectivePoint,
     TropicalMatrix,
     eigenspace_equal,
     kleene_star,
@@ -31,7 +30,7 @@ CEX = TropicalMatrix.from_rows([[0, -3, -4], [-1, 0, -2], [-1, -1, 0]])
 
 
 def pp(*vals):
-    return ProjectivePoint(tuple(F(v) for v in vals))
+    return normalize_projective(vals)
 
 
 class TestMaxCycleMean:
