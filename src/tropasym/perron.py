@@ -25,7 +25,9 @@ whole k range:
 * an accelerator that squares the log-domain matrix (logsumexp matrix
   products), applying 2^t power-iteration steps at once, which is what closes
   the k-window where the spectral gap of exp(kA) is tiny but the structure is
-  still representable in doubles;
+  still representable in doubles.  It stops when one power step moves the
+  point by less than 1e-12, when a step is not finite, or after
+  _SQUARING_ROUNDS rounds;
 * warm starts along a doubling schedule, which carry the eigenvector mixture
   into the regime where double precision can no longer resolve it (the
   carried value is then within O(1/k) of the truth).
@@ -70,10 +72,10 @@ _SQUARING_ROUNDS = 40
 # polishing lazy steps after the accelerator
 _POLISH_STEPS = 400
 
-# products over fewer than this many terms use the row-blocked kernel: below
-# it the GEMM's 2n^2 exponentials save nothing on numpy's per-call cost
-# (time per product, blocked over GEMM: x0.7 at n=3, x1.0 at 8, x2.0 at 16,
-# x2.7 at 24), and the small-n outputs keep their bits
+# below this n the accelerator's products use the row-blocked kernel, one per
+# round with the power step as an extra column: below it the GEMM's 2n^2
+# exponentials save nothing on numpy's per-call cost (time per product,
+# blocked over GEMM: x0.7 at n=3, x1.0 at 8, x2.0 at 16, x2.7 at 24)
 _GEMM_MIN_N = 16
 
 # a row with a scaled GEMM entry below this goes back to the row-blocked
@@ -106,26 +108,25 @@ def _lse_rows(B: np.ndarray) -> np.ndarray:
 def _log_matmul(B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Log-domain matrix product: out_ij = logsumexp_l(B_il + C_lj).
 
-    From _GEMM_MIN_N terms on, the product is one BLAS GEMM on operands
-    scaled by the row maxima r of B and the column maxima c of C:
-    out = r + c + log(exp(B - r) @ exp(C - c)), which takes 2n^2
-    exponentials where the row-blocked kernel takes n^3.  Every term of the
-    scaled GEMM is at most 1, so nothing overflows, but a term far below its
-    row and column maxima underflows: the rows in which some entry falls
+    One BLAS GEMM on operands scaled by the row maxima r of B and the column
+    maxima c of C: out = r + c + log(exp(B - r) @ exp(C - c)), which takes
+    2n^2 exponentials where the row-blocked kernel takes n^3.  Every term of
+    the scaled GEMM is at most 1, so nothing overflows, but a term far below
+    its row and column maxima underflows: the rows in which some entry falls
     below _GEMM_UNDERFLOW, where a lost term could matter, are recomputed by
     the row-blocked kernel.  The GEMM sums in another order than the
     row-blocked kernel, so the two agree to rounding, not bit for bit.
     """
-    if C.shape[0] < _GEMM_MIN_N:
-        return _log_matmul_blocked(B, C)
     r = _max(B, axis=1)
     c = _max(C, axis=0)
     P = np.exp(B - r[:, None]) @ np.exp(C - c)
-    with np.errstate(divide="ignore"):  # a fully underflowed entry is 0
-        out = np.log(P)
+    low = ()
+    if np.minimum.reduce(P, axis=None) < _GEMM_UNDERFLOW:
+        low = np.flatnonzero(np.minimum.reduce(P, axis=1) < _GEMM_UNDERFLOW)
+        P[low] = 1.0  # recomputed below; keeps log off a fully underflowed 0
+    out = np.log(P, out=P)
     out += r[:, None] + c
-    low = np.flatnonzero(P.min(axis=1) < _GEMM_UNDERFLOW)
-    if low.size:
+    if len(low):
         out[low] = _log_matmul_blocked(B[low], C)
     return out
 
@@ -140,17 +141,22 @@ def _log_matmul_blocked(B: np.ndarray, C: np.ndarray) -> np.ndarray:
     bit-identical to it, row by row, whatever rows are passed.
     """
     rows = _LOG_MATMUL_ROWS
-    out = np.empty((B.shape[0], C.shape[1]))
-    buf = np.empty((min(B.shape[0], rows),) + C.shape)
-    for r0 in range(0, B.shape[0], rows):
+    if len(B) <= rows:  # one block: no buffer to reuse, no output to assemble
+        return _lse_middle(B[:, :, None] + C)
+    out = np.empty((len(B), C.shape[1]))
+    buf = np.empty((rows,) + C.shape)
+    for r0 in range(0, len(B), rows):
         Bb = B[r0 : r0 + rows]
-        T = buf[: len(Bb)]
-        np.add(Bb[:, :, None], C[None, :, :], out=T)
-        m = T.max(axis=1)
-        np.subtract(T, m[:, None, :], out=T)
-        np.exp(T, out=T)
-        out[r0 : r0 + rows] = m + np.log(T.sum(axis=1))
+        T = np.add(Bb[:, :, None], C, out=buf[: len(Bb)])
+        out[r0 : r0 + rows] = _lse_middle(T)
     return out
+
+
+def _lse_middle(T: np.ndarray) -> np.ndarray:
+    """logsumexp over axis 1 of a (rows, l, j) tensor, overwriting T."""
+    m = _max(T, axis=1)
+    T -= m[:, None, :]
+    return m + np.log(_sum(np.exp(T, out=T), axis=1))
 
 
 def _lazy_step(kA: np.ndarray, y: np.ndarray, k: float):
@@ -189,29 +195,48 @@ def _accelerate(kA: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
 
     Each round applies 2^t power steps.  The shift is certified <= log rho
     (Collatz-Wielandt lower bound minus log n), which damps the oscillatory
-    near-(-rho) mode without disturbing which cycles are critical.  Rounds
-    are residual-guided: accumulated rounding in the squared matrix doubles
-    per round, so the loop stops as soon as candidates stop improving.
-    Returns the final point and the number of rounds run.
+    near-(-rho) mode without disturbing which cycles are critical.  A round
+    takes one power step x <- B (x) x with the current B (pinned to x_1 = 0) and
+    squares B.  The rounds stop when a step moves x by less than 1e-12, when
+    a step is not finite (x keeps its last finite value), or after
+    _SQUARING_ROUNDS rounds.  Returns the final point and the number of
+    rounds run.
+
+    Below _GEMM_MIN_N, B is the left n columns of one (n, n+1) buffer
+    [B | x], and the row-blocked product of B with it gives B squared in
+    columns 0..n-1 and the power step in column n: one product per round.
+    From _GEMM_MIN_N on, the square GEMM squares B and the power step is a
+    pass of its own: at n=200 an n x (n+1) GEMM split its sums differently
+    at 1 and 2 BLAS threads, where the square one agrees.
     """
     n = kA.shape[0]
-    u = _lse_rows(kA + y[None, :])
-    c0 = float((u - y).min()) - math.log(n) - 1.0
-    B = kA.copy()
+    u = _lse_rows(kA + y)
+    c0 = float(np.minimum.reduce(u - y)) - math.log(n) - 1.0
+    fused = n < _GEMM_MIN_N
+    Bx = np.empty((n, n + 1 if fused else n))  # [B | x] when fused
+    B = Bx[:, :n]
+    B[...] = kA
     idx = np.arange(n)
     B[idx, idx] = np.logaddexp(B[idx, idx], c0)
-    x = y.copy()
+    x = y
     for rounds in range(1, _SQUARING_ROUNDS + 1):
-        xnew = _lse_rows(B + x[None, :])
-        xnew -= xnew[0]
-        if not np.isfinite(xnew).all():
+        if fused:
+            Bx[:, n] = x
+            P = _log_matmul_blocked(B, Bx)
+            xnew = P[:, n] - P[0, n]
+        else:
+            xnew = _lse_rows(B + x)
+            xnew -= xnew[0]
+        if not np.logical_and.reduce(np.isfinite(xnew)):
             break
-        delta = float(np.abs(xnew - x).max())
+        delta = float(_max(np.abs(xnew - x)))
         x = xnew
         if delta < 1e-12:
             break  # aggregation stabilized
-        B = _log_matmul(B, B)
-        B -= B.max()
+        if not fused:
+            P = _log_matmul(B, B)
+        P = P[:, :n]
+        np.subtract(P, _max(P, axis=None), out=B)
     return x, rounds
 
 

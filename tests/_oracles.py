@@ -413,7 +413,13 @@ def _solve_one(kA, k, tol, y0):
         B[range(n), range(n)] = np.logaddexp(np.diag(kA), c0)
         x = y.copy()
         for _ in range(40):
-            xnew = _lse_rows(B + x[None, :])
+            # below the GEMM cut-over (16) the power step is column n of the
+            # product with [B | x], from it a pass of its own
+            if n < 16:
+                P = log_matmul_oracle(B, np.column_stack([B, x]))
+                xnew = P[:, n]
+            else:
+                xnew = _lse_rows(B + x[None, :])
             xnew -= xnew[0]
             it += 1
             if not np.all(np.isfinite(xnew)):
@@ -422,7 +428,7 @@ def _solve_one(kA, k, tol, y0):
             x = xnew
             if delta < 1e-12:
                 break
-            B = log_matmul_oracle(B, B)
+            B = P[:, :n] if n < 16 else log_matmul_oracle(B, B)
             B -= B.max()
         lazy_phase(x, 400)
     res, y, s = best

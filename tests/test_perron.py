@@ -221,13 +221,13 @@ class TestTrajectoryOracle:
             return accelerate(kA, y)
 
         monkeypatch.setattr(perron, "_accelerate", counting)
-        for n in (1, 2, 3, 8):
+        for n in (1, 2, 3, 8, 15):
             for m in range(1, 9):
                 for A in grid_matrices(n, m, seed=100 * n + m):
                     traj = normalized_trajectory(A, self.SCHEDULE)
                     assert traj == trajectory_oracle(A, self.SCHEDULE)
         # samples whose start point the first step left uncertified were accelerated
-        assert {2, 3, 8} <= set(accelerated)
+        assert {2, 3, 8, 15} <= set(accelerated)
 
     def test_failures_equal_oracle(self, monkeypatch):
         monkeypatch.setattr(perron, "_TOL", 0.0)
@@ -382,18 +382,33 @@ def gemm_bound(B, C) -> float:
 class TestLogMatmul:
     def test_matches_one_tensor_oracle(self):
         # n below, at and past the row block height and the GEMM cut-over,
-        # and not a multiple of either; below the cut-over the row-blocked
-        # kernel runs and is bit-identical to the oracle
+        # and not a multiple of either, with square right operands and the
+        # accelerator's (n, n+1) [B | x]: the row-blocked kernel, in one
+        # block or several, is bit-identical to the oracle, and from the
+        # cut-over the GEMM agrees with it to rounding
         rng = np.random.default_rng(7)
         for n in (1, 2, 3, 15, 16, 17, 33, 70):
             B = rng.uniform(-40.0, 5.0, (n, n))
             C = rng.uniform(-40.0, 5.0, (n, n))
-            for X, Y in ((B, C), (B, B)):
-                got, want = perron._log_matmul(X, Y), log_matmul_oracle(X, Y)
-                if n < perron._GEMM_MIN_N:
-                    assert np.array_equal(got, want)
-                else:
-                    assert np.abs(got - want).max() <= gemm_bound(X, Y)
+            Bx = np.column_stack([B, C[:, 0]])
+            for X, Y in ((B, C), (B, B), (B, Bx)):
+                want = log_matmul_oracle(X, Y)
+                assert np.array_equal(perron._log_matmul_blocked(X, Y), want)
+                if n >= perron._GEMM_MIN_N:
+                    assert np.abs(perron._log_matmul(X, Y) - want).max() <= gemm_bound(X, Y)
+
+    def test_fused_power_step_keeps_bits_below_eight_terms(self):
+        # below 8 terms numpy sums a row of _lse_rows in order, as the
+        # row-blocked kernel sums over l, so column n of B (x) [B | x] is the
+        # separate power step bit for bit: why trajectories at n <= 7 keep
+        # their bits now that a round below the GEMM cut-over is one product
+        rng = np.random.default_rng(8)
+        for n in range(1, 8):
+            for _ in range(20):
+                B = rng.uniform(-40.0, 5.0, (n, n))
+                x = rng.uniform(-40.0, 5.0, n)
+                P = perron._log_matmul_blocked(B, np.column_stack([B, x]))
+                assert np.array_equal(P[:, n], perron._lse_rows(B + x))
 
     def test_underflowed_rows_fall_back_to_blocked_kernel(self, monkeypatch):
         # rows 3 and 5 of B sit 900 and 700 below their maximum but for one
@@ -428,10 +443,11 @@ class TestLogMatmul:
         assert np.abs(got[rest] - want[rest]).max() <= gemm_bound(B, C)
 
     def test_trajectory_bit_identical_under_oracle(self, monkeypatch):
-        # bit for bit below the GEMM cut-over (n=3); at n=24 and n=40 the
-        # GEMM sums in another order, so the samples must agree in k and
-        # iterations and their points and eigenvalues within the solver's
-        # own certification tolerance
+        # bit for bit below the GEMM cut-over (n=3), where each round is one
+        # row-blocked product; from the cut-over (n=24, 40, 16) the GEMM sums
+        # in another order, so the samples must agree in k and iterations and
+        # their points and eigenvalues within the solver's own certification
+        # tolerance
         rng = np.random.default_rng(11)
         half_grid = -0.5 * np.arange(1, 13)  # -1/2, -1, ..., -6
         squarings = 0
@@ -441,12 +457,13 @@ class TestLogMatmul:
             squarings += 1
             return log_matmul_oracle(B, C)
 
-        for n in (3, 24, 40):
+        for n in (3, 24, 40, 16):
             A = zero_diagonal(n, rng, half_grid)
             ks = geometric_schedule(10)
             library = normalized_trajectory(A, ks)
             with monkeypatch.context() as m:
                 m.setattr(perron, "_log_matmul", counting_oracle)
+                m.setattr(perron, "_log_matmul_blocked", counting_oracle)
                 reference = normalized_trajectory(A, ks)
             if n < perron._GEMM_MIN_N:
                 assert library == reference
