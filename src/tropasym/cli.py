@@ -154,6 +154,10 @@ def _verdict_summary(verdicts) -> dict:
 def cmd_conjectures(args) -> int:
     if args.seed is None:
         raise ValueError("--seed is required for randomized commands")
+    if min(args.chains, args.families) < 0 or args.chains == args.families == 0:
+        raise ValueError("--chains and --families must be at least 0, and not both 0")
+    if args.perturbations < 1:
+        raise ValueError("--perturbations must be at least 1")
     schedule = geometric_schedule(args.doublings)
     rng = random.Random(args.seed)
     report: dict = {"seed": args.seed}

@@ -12,8 +12,8 @@ denominators.  The kernels (Kleene star, Karp, Schur complement) read the
 numerators into one integer numpy array each and run their O(n^3) passes on
 it: `int64` while the kernel's own bound on the magnitudes it forms stays
 below 2**62, Python ints (dtype object) past that, with the same code for
-both.  (Below n = 6, `spectral` runs Karp and the normalized star on Python
-lists instead, where numpy's per-call cost outweighs the arithmetic.)
+both.  (Below n = 6, `spectral` runs Karp and the normalized plus-closure on
+Python lists instead, where numpy's per-call cost outweighs the arithmetic.)
 Results go back to tuples of Python ints; scalar results are `Fraction`s.
 Criticality of a cycle is a statement about exact ties, so the whole
 combinatorial layer must stay exact; floating point enters only in the
@@ -124,9 +124,6 @@ class TropicalMatrix:
     def n(self) -> int:
         return len(self.nums)
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def negate(self) -> "TropicalMatrix":
         """Entrywise negation, switching the semiring tag (max-plus <-> min-plus)."""
         other = MIN_PLUS if self.semiring == MAX_PLUS else MAX_PLUS
@@ -192,27 +189,27 @@ def _int_array(nums: Sequence[Sequence[int]], growth: int) -> np.ndarray:
 
 
 def _star(W: np.ndarray, kind: str) -> np.ndarray:
-    """Kleene star of the max-plus integer array W, by Floyd-Warshall rounds.
+    """Plus-closure W+ = W (+) W^2 (+) ... of the max-plus integer array W,
+    by Floyd-Warshall rounds: entry (i, j) is the best weight of a path of
+    one or more edges from i to j, so the diagonal holds the best cycles.
 
     A positive cycle whose largest node is k shows as S[k, k] > 0 before
     round k, so the pass raises there.  Every round it does run therefore
     holds path weights in [-M, (n - 1) M] for M = max|W|, and sums at most
     2nM, which is why its callers pass `_int_array` a growth of 2n or more.
     `kind` names the cycle in the error ("negative" when W is a negated
-    min-plus matrix).
+    min-plus matrix).  The star is I (+) W+, i.e. W+ with a zero diagonal.
     """
-    n = len(W)
     S = W.copy()
-    for k in range(n):
+    for k in range(len(W)):
         if S[k, k] > 0:
             raise StarDivergenceError(kind, W, k)
         np.maximum(S, S[:, k, None] + S[k], out=S)
-    S.flat[:: n + 1] = 0  # identity term: the empty path
     return S
 
 
 def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
-    """S = I (+) A (+) A^2 (+) ... (path of length 0 handled structurally).
+    """S = I (+) A (+) A^2 (+) ..., the plus-closure with a zero diagonal.
 
     Entries are optimal path weights.  Converges iff the matrix has no
     positive cycle (max-plus) or no negative cycle (min-plus).  One in-place
@@ -226,6 +223,7 @@ def kleene_star(A: TropicalMatrix) -> TropicalMatrix:
         S = _star(W, "positive")
     else:
         S = -_star(-W, "negative")
+    S.flat[:: A.n + 1] = 0  # identity term: the empty path
     return TropicalMatrix(tuple(map(tuple, S.tolist())), A.den, A.semiring)
 
 

@@ -4,7 +4,7 @@ The one entry point is normalized_trajectory, which samples P_k along an
 increasing k schedule; a single k is normalized_trajectory(A, [k]), whose
 sample carries log rho / k and P_k = (log Perron vector) / k.  It validates
 its input once: A square, non-empty and finite, the schedule finite,
-positive and increasing, and every entry of k*A within double range.
+positive and increasing, and k*A within double range by a factor _HEADROOM.
 
 Explicitly exponentiating k*A stops working long before the interesting
 asymptotics set in: cross terms like e^{-25000} are absorbed or flushed to
@@ -71,6 +71,13 @@ _SQUARING_ROUNDS = 40
 
 # polishing lazy steps after the accelerator
 _POLISH_STEPS = 400
+
+# k*A must stay this far inside double range.  With K = k max|A|, a point's
+# coordinates lie within 2K of each other (it is a step of k*A), so a lazy
+# step sums at most u_1 + y <= 5K; a squared matrix's entries lie within 2K
+# of its largest entry two steps shorter, so within 4K of its maximum 0, and
+# a squaring sums down to -8K.  One K more covers log n terms and rounding.
+_HEADROOM = 9.0
 
 # below this n the accelerator's products use the row-blocked kernel, one per
 # round with the power step as an extra column: below it the GEMM's 2n^2
@@ -347,7 +354,7 @@ def normalized_trajectory(A, k_schedule: Sequence[float]) -> PerronTrajectory:
     eigenvector mixture accurate far beyond the range where exp(kA) is
     representable.  A sample that misses the tolerance is recorded as a
     failure rather than aborting the run, but its iterate still seeds the
-    next sample.  A k*A with an entry beyond double range is an input error.
+    next sample.  A k*A past double range over _HEADROOM is an input error.
     """
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
@@ -361,8 +368,8 @@ def normalized_trajectory(A, k_schedule: Sequence[float]) -> PerronTrajectory:
         raise ValueError("schedule values must be finite and positive")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("schedule must be strictly increasing")
-    # float products are monotone, so k*A overflows somewhere iff it does here
-    if not math.isfinite(ks[-1] * float(np.abs(M).max())):
+    # float products are monotone, so the headroom is short somewhere iff here
+    if not math.isfinite(_HEADROOM * ks[-1] * float(np.abs(M).max())):
         raise ValueError(f"k*A overflows double range at k = {ks[-1]!r}")
     samples: list[PerronSample] = []
     failures: list[FailedSample] = []

@@ -30,7 +30,6 @@ from .core import (
     _star,
     in_span,
     kleene_star,
-    normalize_projective,
 )
 from .perron import PinfEstimate
 from .spectral import spectral_data
@@ -58,6 +57,7 @@ def minplus_schur(A: TropicalMatrix, C: set[int] | frozenset[int]) -> TropicalMa
     W = _int_array(A.nums, 2 * n)
     WN, WC = W[Ns], W[Cs]
     star = -_star(-WC[:, Cs], "negative")  # raises on a negative cycle in C
+    star.flat[:: len(Cs) + 1] = 0  # I (+) plus-closure: a detour may leave C where it enters
     # (A_NC (x) C*) (x) A_CN: the best detour into C, through it, and out again
     through = (WN[:, Cs, None] + star).min(axis=1)
     detour = (through[:, :, None] + WC[:, Ns]).min(axis=1)
@@ -151,12 +151,12 @@ def candidate_exponents(B: TropicalMatrix) -> SchurReport:
     cands: list[Candidate] = []
     seen: set[ProjectivePoint] = set()
     for j in range(n):
-        v = star.column(j)
-        tp = normalize_projective(tuple(-x for x in v))
+        # normalize(-v) for column v of the star, on its numerators
+        tp = ProjectivePoint(tuple(star.nums[0][j] - row[j] for row in star.nums), star.den)
         if tp in seen:
             continue
         seen.add(tp)
-        cands.append(Candidate(v=v, tp_point=tp))
+        cands.append(Candidate(v=tuple(row[j] for row in star.entries), tp_point=tp))
     return SchurReport(levels=tuple(levels), b_hat=b_hat, candidates=tuple(cands))
 
 

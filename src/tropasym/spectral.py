@@ -1,9 +1,10 @@
-"""Max-plus spectral data: eigenvalue, critical graph, eigenspace generators.
+"""Max-plus spectral data: eigenvalue, critical classes, eigenspace generators.
 
-The tropical eigenvalue of a real square matrix is its maximum cycle mean.
-Karp's dynamic program computes it exactly in O(n^3) integer operations.
-The eigenspace is generated by Kleene-star columns at critical nodes, one
-per strongly connected component of the critical graph.
+The tropical eigenvalue of a real square matrix is its maximum cycle mean,
+computed exactly by Karp's O(n^3) dynamic program.  The rest is read off
+the plus-closure of the lambda-normalized matrix: the critical nodes are
+the zeros on its diagonal, and its columns at one critical node per strongly
+connected component of the critical graph generate the eigenspace.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def _require_max_plus(A: TropicalMatrix, what: str):
         raise ValueError(f"{what} requires a max-plus matrix, got {A.semiring}")
 
 
-# from this size on Karp's table and the lambda-normalized star run as
+# from this size on Karp's table and the lambda-normalized closure run as
 # integer numpy passes; below it numpy's per-call cost outweighs their O(n^3)
 # arithmetic, and they run on Python lists
 _ARRAY_MIN_N = 6
@@ -84,9 +85,8 @@ def _karp(D: list[list[int]]) -> tuple[int, int]:
     return best_p, best_q
 
 
-def _normalized_star_lists(W: list[list[int]]) -> list[list[int]]:
-    """`_star` on rows of Python ints with no positive cycle, such as a
-    lambda-normalized matrix's, so the pass needs no divergence check."""
+def _normalized_plus_lists(W: list[list[int]]) -> list[list[int]]:
+    """`_star` on rows of Python ints with no positive cycle, unchecked."""
     S = [row[:] for row in W]
     for k, Sk in enumerate(S):
         # in place: with no positive cycle, round k leaves row k and column k alone
@@ -95,32 +95,31 @@ def _normalized_star_lists(W: list[list[int]]) -> list[list[int]]:
             for j, y in enumerate(Sk):
                 if a + y > Si[j]:
                     Si[j] = a + y
-    for i, Si in enumerate(S):
-        Si[i] = 0  # identity term: the empty path
     return S
 
 
-def max_cycle_mean(A: TropicalMatrix) -> Fraction:
-    """Maximum mean weight over all directed cycles (Karp's algorithm).
-
-    Karp's table runs on A's integer numerators, over its denominator.
-    """
-    _require_max_plus(A, "max_cycle_mean")
+def _karp_mean(A: TropicalMatrix, growth: int) -> tuple[int, int, np.ndarray | None]:
+    """A's maximum cycle mean p / q over A.den, and the `_int_array(A.nums,
+    growth)` Karp ran on, or None below _ARRAY_MIN_N, where it runs on lists."""
     if A.n < _ARRAY_MIN_N:
-        D = _walks_lists(A.nums)
-    else:
-        D = _walks(_int_array(A.nums, A.n))
-    p, q = _karp(D)
+        return *_karp(_walks_lists(A.nums)), None
+    W = _int_array(A.nums, growth)
+    return *_karp(_walks(W)), W
+
+
+def max_cycle_mean(A: TropicalMatrix) -> Fraction:
+    """Maximum mean weight over all directed cycles, by Karp on A's numerators."""
+    _require_max_plus(A, "max_cycle_mean")
+    p, q, _ = _karp_mean(A, A.n)
     return Fraction(p, q * A.den)
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Tropical eigenvalue, critical structure, and eigenspace generators."""
+    """Tropical eigenvalue, critical nodes and classes, and eigenspace generators."""
 
     lam: Fraction
     critical_nodes: frozenset[int]
-    critical_edges: frozenset[tuple[int, int]]
     classes: tuple[tuple[int, ...], ...]
     generators: tuple[ProjectivePoint, ...]
 
@@ -134,13 +133,13 @@ class SpectralData:
 
 @lru_cache(maxsize=8)
 def spectral_data(A: TropicalMatrix) -> SpectralData:
-    """Eigenvalue, critical edges/nodes/classes, and deduplicated generators.
+    """Eigenvalue, critical nodes and classes, and deduplicated generators.
 
-    An edge (i, j) is critical iff it lies on a zero-mean cycle of the
-    lambda-normalized matrix, i.e. Abar_ij + S_ji = 0 with S the Kleene star.
-    Critical nodes i and j share a class (a strongly connected component of
-    the critical graph) iff S_ij + S_ji = 0.  Generators are star columns at
-    one representative node per critical class, deduplicated projectively.
+    T is the plus-closure of Abar = A - lam, which has no positive cycle.
+    Node i is critical (on a zero-mean cycle) iff T_ii = 0, and critical i
+    and j share a class (a strongly connected component of the critical
+    graph) iff T_ij + T_ji = 0.  Generators are T's columns at one node per
+    class, deduplicated projectively; at a critical node they are the star's.
 
     The last 8 records are kept, keyed by the matrix (whose `==` and `hash`
     compare the rational entries), so a caller and the Schur level 0 of
@@ -148,25 +147,14 @@ def spectral_data(A: TropicalMatrix) -> SpectralData:
     """
     _require_max_plus(A, "spectral_data")
     n = A.n
-    # Abar = A - lam is Wb = W q - p over q den
-    if n < _ARRAY_MIN_N:
-        p, q = _karp(_walks_lists(A.nums))
-        Wb = [[x * q - p for x in row] for row in A.nums]
-        T = _normalized_star_lists(Wb)
-        edges = {(i, j) for i in range(n) for j in range(n) if Wb[i][j] + T[j][i] == 0}
+    # Abar = A - lam is W q - p over q den, and |W q - p| <= 2nM for M =
+    # max|W| since |lam| <= M, so its closure sums stay within 4n^2 M
+    p, q, W = _karp_mean(A, 4 * n * n)
+    if W is None:
+        T = _normalized_plus_lists([[x * q - p for x in row] for row in A.nums])
     else:
-        # |Wb| <= 2nM for M = max|W| since |lam| <= M, so its star sums stay
-        # within 4n^2 M
-        W = _int_array(A.nums, 4 * n * n)
-        p, q = _karp(_walks(W))
-        Wb = W * q - p
-        S = _star(Wb, "positive")  # lambda-normalized: no positive cycle
-        src, dst = np.nonzero(Wb + S.T == 0)
-        edges = set(zip(src.tolist(), dst.tolist()))
-        T = S.tolist()
-    lam = Fraction(p, q * A.den)
-    nodes = sorted({u for e in edges for u in e})
-    s = q * A.den
+        T = _star(W * q - p, "positive").tolist()
+    nodes = [i for i in range(n) if T[i][i] == 0]
     classes: list[tuple[int, ...]] = []
     placed: set[int] = set()
     for u in nodes:
@@ -174,6 +162,7 @@ def spectral_data(A: TropicalMatrix) -> SpectralData:
             cls = tuple(v for v in nodes if T[u][v] + T[v][u] == 0)
             placed.update(cls)
             classes.append(cls)
+    s = q * A.den
     gens: list[ProjectivePoint] = []
     seen: set[tuple[int, ...]] = set()
     for cls in classes:
@@ -182,9 +171,8 @@ def spectral_data(A: TropicalMatrix) -> SpectralData:
             seen.add(key)
             gens.append(ProjectivePoint(key, s))
     return SpectralData(
-        lam=lam,
+        lam=Fraction(p, s),
         critical_nodes=frozenset(nodes),
-        critical_edges=frozenset(edges),
         classes=tuple(classes),
         generators=tuple(gens),
     )

@@ -283,6 +283,11 @@ def restricted_fw(A: TropicalMatrix, C) -> list[list[Fraction]]:
     return dist
 
 
+def column(M: TropicalMatrix, j: int) -> tuple[Fraction, ...]:
+    """Column j of M's rational entries."""
+    return tuple(row[j] for row in M.entries)
+
+
 def strongly_connected_components(nodes, edges) -> list[tuple[int, ...]]:
     """Kosaraju's two depth-first passes; sorted tuples, by smallest node."""
     succ = {u: [] for u in nodes}
@@ -592,18 +597,33 @@ def minplus_schur_oracle(A: TropicalMatrix, C) -> TropicalMatrix:
     return TropicalMatrix(tuple(map(tuple, out)), den, MIN_PLUS)
 
 
+def _zero_cycle_edges(Abar: TropicalMatrix, S: TropicalMatrix) -> frozenset[tuple[int, int]]:
+    """Edges (i, j) on a zero-weight cycle of Abar, S its Kleene star:
+    Abar_ij + S_ji = 0."""
+    n = Abar.n
+    W, T = Abar.nums, S.nums
+    a, s = Abar.den, S.den
+    return frozenset(
+        (i, j) for i in range(n) for j in range(n) if W[i][j] * s + T[j][i] * a == 0
+    )
+
+
+def critical_edges_oracle(A: TropicalMatrix) -> frozenset[tuple[int, int]]:
+    """The edges of A's critical graph, those on a zero-mean cycle of A - lam."""
+    Abar = A.shift(-karp_oracle(A))
+    return _zero_cycle_edges(Abar, kleene_star_oracle(Abar))
+
+
 def spectral_data_oracle(A: TropicalMatrix) -> SpectralData:
-    """spectral_data on the oracle kernels, through the shifted matrix's star."""
+    """spectral_data on the oracle kernels, through the shifted matrix's star:
+    critical nodes are the ends of critical edges."""
     _require_max_plus(A, "spectral_data_oracle")
     lam = karp_oracle(A)
     n = A.n
     Abar = A.shift(-lam)
     S = kleene_star_oracle(Abar)
-    W, T = Abar.nums, S.nums
-    a, s = Abar.den, S.den
-    edges = {
-        (i, j) for i in range(n) for j in range(n) if W[i][j] * s + T[j][i] * a == 0
-    }
+    T, s = S.nums, S.den
+    edges = _zero_cycle_edges(Abar, S)
     nodes = sorted({u for e in edges for u in e})
     classes = []
     placed = set()
@@ -622,7 +642,6 @@ def spectral_data_oracle(A: TropicalMatrix) -> SpectralData:
     return SpectralData(
         lam=lam,
         critical_nodes=frozenset(nodes),
-        critical_edges=frozenset(edges),
         classes=tuple(classes),
         generators=tuple(gens),
     )
@@ -660,7 +679,7 @@ def candidate_exponents_oracle(B: TropicalMatrix) -> SchurReport:
     cands = []
     seen = set()
     for j in range(n):
-        v = star.column(j)
+        v = column(star, j)
         tp = normalize_projective(tuple(-x for x in v))
         if tp not in seen:
             seen.add(tp)

@@ -59,14 +59,24 @@ class TestSpectrum:
         code, out, _ = run(["spectrum", "--input", str(p)], capsys)
         assert code == 0
 
-    def test_missing_matrix(self, capsys):
-        code, _, err = run(["spectrum"], capsys)
-        assert code == 1
+    def test_missing_matrix(self, tmp_path, capsys):
+        p = tmp_path / "m.json"
+        p.write_text(FIG7)
+        for argv in (
+            ["spectrum"],
+            ["spectrum", "--matrix", FIG7, "--input", str(p)],  # two sources
+            ["spectrum", "--input", str(tmp_path / "absent.json")],  # unreadable
+        ):
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error: ")
 
     def test_entries_not_rows(self, capsys):
         # a string or object row would otherwise be read as its characters or
-        # keys; a matrix is an array of rows, never an object
+        # keys, and a boolean entry as 0 or 1; a matrix is an array of rows of
+        # numbers, never an object
         for matrix in (
+            '[[true, 0], [0, 0]]',
             '[["0","1"],"00"]',
             '[["0","1"],{"3":1,"4":2}]',
             '{"n": 3, "entries": 5}',
@@ -143,10 +153,31 @@ class TestPerron:
             assert "finite" in err
 
     def test_overflowing_kA_is_an_input_error(self, capsys):
-        # 2^14 * 1e305 is beyond double range at the schedule's last k
-        code, _, err = run(["perron", "--matrix", "[[0, 1e305], [-1, 0]]"], capsys)
-        assert code == 1
-        assert "overflows" in err and "k = 16384.0" in err
+        for argv, k in (
+            # 2^14 * 1e305 is beyond double range at the schedule's last k
+            (["perron", "--matrix", "[[0, 1e305], [-1, 0]]"], "16384.0"),
+            # 8 * 1e307 is within double range, but the solver's sums are not
+            (["perron", "--matrix", "[[0,-1e307,3],[1e307,0,-2e306],[1,-1e307,0]]",
+              "--doublings", "1"], "8.0"),
+        ):
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (1, "")
+            assert "overflows" in err and f"k = {k}" in err
+
+    def test_one_sample_is_a_numerical_failure(self, tmp_path, capsys):
+        # a single sample has no doubling pair to extrapolate from; the CSV
+        # is written before the estimate fails
+        csv_path = tmp_path / "traj.csv"
+        code, out, err = run(
+            ["perron", "--matrix", "[[0,-1],[-2,0]]", "--doublings", "0",
+             "--out", str(csv_path)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "numerical failure: need at least two successful samples at k and 2k\n"
+        )
+        assert len(csv_path.read_text().splitlines()) == 1 + 1
 
 
 class TestFigures:
@@ -354,16 +385,25 @@ class TestConjecturesCommand:
         assert not ds.exists()
 
     def test_zero_counts(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)  # default dataset file lands here
-        code, out, _ = run(
-            ["conjectures", "--chains", "0", "--families", "0", "--seed", "1"],
-            capsys,
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert report["conjecture1"]["count"] == 0
-        assert report["conjecture2"]["count"] == 0
-        assert (tmp_path / "g_samples.jsonl").exists()
+        import tropasym.cli
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a bad count must be rejected before the first draw")
+
+        # a campaign that tests nothing, or a family without perturbations,
+        # is an input error that writes no report and no dataset
+        monkeypatch.setattr(tropasym.cli.conj, "random_matrix", no_draw)
+        monkeypatch.chdir(tmp_path)  # default dataset file would land here
+        for counts in (
+            ["--chains", "0", "--families", "0"],
+            ["--chains", "-2", "--families", "0"],
+            ["--chains", "1", "--families", "-1"],
+            ["--chains", "1", "--families", "1", "--perturbations", "0"],
+        ):
+            code, out, err = run(["conjectures", "--seed", "3", *counts], capsys)
+            assert (code, out) == (1, ""), counts
+            assert err.startswith("error: --")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSchurCommand:

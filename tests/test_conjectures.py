@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from tropasym import (
+    EstimateError,
+    PinfEstimate,
     TropicalMatrix,
     conjecture1_test,
     conjecture2_test,
@@ -14,6 +16,7 @@ from tropasym import (
     eigenspace_preserving_perturbations,
     estimate_p_infinity,
     export_samples,
+    float_point,
     geometric_schedule,
     max_cycle_mean,
     normalize_projective,
@@ -121,6 +124,17 @@ class TestConjecture1:
         with pytest.raises(ValueError):
             conjecture1_test(FIG4, tol=1e-2, schedule=SCHEDULE)
 
+    def test_estimate_off_the_eigenspace_is_raised(self, monkeypatch):
+        # the safety net: a measured limit far from every generator means the
+        # numerics went wrong, which no verdict may fold in
+        def off(traj):
+            est = estimate_p_infinity(traj)
+            return PinfEstimate(float_point([0.0, 50.0, -50.0]), 0.0, est.k_max_used)
+
+        monkeypatch.setattr(conjectures, "estimate_p_infinity", off)
+        with pytest.raises(EstimateError, match="off the eigenspace"):
+            conjecture1_test(FIG7, tol=1e-2, schedule=SCHEDULE)
+
     def test_reproducible(self):
         v1 = conjecture1_test(FIG7, tol=1e-2, schedule=SCHEDULE)
         v2 = conjecture1_test(FIG7, tol=1e-2, schedule=SCHEDULE)
@@ -162,6 +176,11 @@ class TestPerturbations:
             A = random_matrix(3, seed=rng)
             perts = eigenspace_preserving_perturbations(A, count=3, seed=rng.randrange(2**32))
             assert len(set(perts)) == len(perts)
+
+    def test_count_must_be_positive(self):
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="count"):
+                eigenspace_preserving_perturbations(FIG8, count=count, seed=5)
 
     def test_deterministic_given_seed(self):
         a = eigenspace_preserving_perturbations(FIG8, count=3, seed=5)
@@ -272,6 +291,13 @@ class TestRandomMatrix:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             random_matrix(1, seed=0)
+
+    def test_grid_validation(self):
+        for grid_step, entry_range in (
+            (0, (-6, 2)), ("-1/2", (-6, 2)), (1, (2, -6)), (1, (1, 1)),
+        ):
+            with pytest.raises(ValueError, match="bad grid or range"):
+                random_matrix(3, grid_step=grid_step, entry_range=entry_range, seed=0)
 
     def test_deterministic(self):
         assert random_matrix(3, seed=11) == random_matrix(3, seed=11)

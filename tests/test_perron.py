@@ -82,6 +82,23 @@ class TestEigenpair:
         with pytest.raises(ValueError, match=r"overflows .* k = 10000000000\.0"):
             normalized_trajectory(A, [4.0, 1e10])
 
+    def test_kA_needs_solver_headroom(self):
+        # k*A = 8e307 is a double, but the accelerator's sums would overflow
+        A = [[0.0, -1e307, 3.0], [1e307, 0.0, -2e306], [1.0, -1e307, 0.0]]
+        with pytest.raises(ValueError, match=r"overflows .* k = 8\.0"):
+            normalized_trajectory(A, [4.0, 8.0])
+        # just inside the limit the solver forms no overflowing sum
+        limit = np.finfo(float).max / perron._HEADROOM
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 5, 8, 17):
+            B = rng.uniform(-1.0, 1.0, (n, n))
+            B *= 0.9999 * limit / (8.0 * np.abs(B).max())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                normalized_trajectory(B, [4.0, 8.0])
+            with pytest.raises(ValueError, match="overflows"):
+                normalized_trajectory(1.001 * B, [4.0, 8.0])
+
     def test_nonconvergence_reports_residual(self, monkeypatch):
         # under a zero tolerance no sample is ever certified
         monkeypatch.setattr(perron, "_TOL", 0.0)

@@ -23,6 +23,13 @@ def test_seeds_cover_every_region_shape():
     assert counts == {1, 2, 3}
 
 
+def test_rejects_other_sizes_and_coarse_grids():
+    with pytest.raises(ValueError, match="3-dimensional"):
+        render_eigenspace_svg(spectral_data(random_matrix(4, seed=0)), None, 16)
+    with pytest.raises(ValueError, match="grid"):
+        render_eigenspace_svg(spectral_data(random_matrix(3, seed=0)), None, 1)
+
+
 @pytest.mark.parametrize("grid", [2, 17, 64])
 def test_region_matches_per_cell_oracle(grid, monkeypatch):
     # blocks of the default size, of one row, and of 5 rows, which leaves a

@@ -7,11 +7,13 @@ import pytest
 from tropasym import (
     MIN_PLUS,
     Candidate,
+    PinfEstimate,
     StarDivergenceError,
     TropicalMatrix,
     candidate_exponents,
     compare_prediction,
     estimate_p_infinity,
+    float_point,
     geometric_schedule,
     in_span,
     minplus_schur,
@@ -64,6 +66,12 @@ class TestMinplusSchur:
         A = TropicalMatrix.from_rows([[0, 1], [1, 0]])
         with pytest.raises(ValueError):
             minplus_schur(A, {0})
+
+    def test_invalid_nodes_rejected(self):
+        A = minplus([[0, 1], [1, 0]])
+        for C in ({2}, {-1}, {0, 5}):
+            with pytest.raises(ValueError, match="invalid node"):
+                minplus_schur(A, C)
 
     def test_negative_cycle_in_block_rejected(self):
         A = minplus([[-1, 5, 5], [5, 0, 5], [5, 5, 0]])
@@ -214,6 +222,16 @@ class TestComparePrediction:
         hits = [v for v in verdicts if v.in_eigenspace and v.matches_pinf]
         assert len(hits) >= 1
         assert hits[0].candidate.tp_point == sd.generators[0]
+
+
+    def test_dimension_mismatch_rejected(self, cex_estimate):
+        report = candidate_exponents(CEX.negate())
+        A2 = TropicalMatrix.from_rows([[0, -1], [-1, 0]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            compare_prediction(A2, report, cex_estimate, tol=1e-2)
+        pinf2 = PinfEstimate(float_point([0.0, 1.0]), 0.0, cex_estimate.k_max_used)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            compare_prediction(CEX, report, pinf2, tol=1e-2)
 
 
 def test_report_json_shape(cex_estimate):

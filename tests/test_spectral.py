@@ -14,6 +14,8 @@ from tropasym import (
 )
 
 from _oracles import (
+    column,
+    critical_edges_oracle,
     cycle_mean_oracle,
     hadamard_lemma_check,
     strongly_connected_components,
@@ -114,7 +116,7 @@ class TestSpectralData:
             sd = spectral_data(A)
             S = kleene_star(A.shift(-sd.lam))
             for cls in sd.classes:
-                cols = {normalize_projective(S.column(i)) for i in cls}
+                cols = {normalize_projective(column(S, i)) for i in cls}
                 assert len(cols) == 1  # same class, projectively equal columns
                 assert verify_eigenvector(A, sd.lam, cols.pop())
 
@@ -126,9 +128,14 @@ class TestSpectralData:
                 2 + i % 8, grid_step=F(1, 1 + i % 3), entry_range=(F(-4), hi), seed=rng
             )
             sd = spectral_data(A)
-            assert sd.classes == tuple(
-                strongly_connected_components(sd.critical_nodes, sd.critical_edges)
-            )
+            edges = critical_edges_oracle(A)
+            nodes = {u for e in edges for u in e}
+            assert sd.critical_nodes == nodes
+            assert sd.classes == tuple(strongly_connected_components(nodes, edges))
+
+    def test_eigenspace_equal_needs_equal_sizes(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            eigenspace_equal(FIG7, TropicalMatrix.from_rows([[0, -1], [-1, 0]]))
 
     def test_every_generator_verifies(self):
         for A in (FIG4, FIG7, FIG8, CEX):
