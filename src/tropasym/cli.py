@@ -2,10 +2,10 @@
 
 A matrix is a max-plus matrix given as a JSON array of rows.  Commands that
 solve trajectories sample them at k = 4 * 2^i for i = 0 .. --doublings.
-Exit codes: 0 on success, 1 on input errors, 2 on numerical failures.  A
-campaign that cannot find its counts within its draw budget is an input
-error.  Randomized commands refuse to run without an explicit --seed so that
-every report is reproducible.
+Exit codes: 0 on success, 1 on input errors (an unreadable or unwritable
+file among them, or a campaign that cannot find its counts within its draw
+budget), 2 on numerical failures.  Randomized commands refuse to run without
+an explicit --seed so that every report is reproducible.
 """
 
 from __future__ import annotations
@@ -66,10 +66,7 @@ def load_matrix(args) -> TropicalMatrix:
     if args.matrix is not None:
         text = args.matrix
     elif args.input is not None:
-        try:
-            text = Path(args.input).read_text()
-        except OSError as exc:
-            raise ValueError(f"cannot read {args.input}: {exc}") from exc
+        text = Path(args.input).read_text()  # OSError -> exit 1
     else:
         raise ValueError("a matrix is required (--matrix JSON or --input FILE)")
     try:
@@ -259,7 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EstimateError, ArithmeticError) as exc:

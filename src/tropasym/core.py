@@ -38,11 +38,11 @@ MIN_PLUS = "min-plus"
 class StarDivergenceError(ValueError):
     """Kleene star does not converge (positive max-plus / negative min-plus cycle).
 
-    Holds the max-plus integer array W whose star diverged, the cycle's kind
-    ("positive", or "negative" for a negated min-plus matrix) and the pivot
-    node k at which the pass stopped.  The witness `cycle` is named by
-    `_find_bad_cycle(W)` when it or the message is first read, so a caller
-    that catches the error and moves on never pays for it.
+    Holds the pivots' block W of the max-plus integer array whose star
+    diverged, the cycle's kind ("positive", or "negative" for a negated
+    min-plus matrix) and the position k in W of the pivot at which the pass
+    stopped.  The witness `cycle` is named by `_find_bad_cycle(W)` when it
+    or the message is first read, so a caller that only catches it never pays.
     """
 
     def __init__(self, kind: str, W: np.ndarray, k: int):
@@ -188,22 +188,26 @@ def _int_array(nums: Sequence[Sequence[int]], growth: int) -> np.ndarray:
     return np.array(nums, dtype=np.int64 if bound < 1 << 62 else object)
 
 
-def _star(W: np.ndarray, kind: str) -> np.ndarray:
+def _star(W: np.ndarray, kind: str, pivots: Sequence[int] | None = None) -> np.ndarray:
     """Plus-closure W+ = W (+) W^2 (+) ... of the max-plus integer array W,
-    by Floyd-Warshall rounds: entry (i, j) is the best weight of a path of
-    one or more edges from i to j, so the diagonal holds the best cycles.
+    by Floyd-Warshall rounds over `pivots` (default: every node): entry
+    (i, j) is the best weight of a path of one or more edges from i to j
+    whose interior nodes are pivots, so the diagonal holds the best cycles.
+    Rounds over a node set C, read on the other nodes, eliminate C.
 
-    A positive cycle whose largest node is k shows as S[k, k] > 0 before
-    round k, so the pass raises there.  Every round it does run therefore
-    holds path weights in [-M, (n - 1) M] for M = max|W|, and sums at most
-    2nM, which is why its callers pass `_int_array` a growth of 2n or more.
-    `kind` names the cycle in the error ("negative" when W is a negated
-    min-plus matrix).  The star is I (+) W+, i.e. W+ with a zero diagonal.
+    A positive cycle through pivots whose last pivot is k shows as
+    S[k, k] > 0 before round k, so the pass raises there, on the pivots'
+    block.  Every round it does run therefore holds path weights in
+    [-M, nM] for M = max|W|, and sums at most 2nM, which is why its callers
+    pass `_int_array` a growth of 2n or more.  `kind` names the cycle in the
+    error ("negative" when W is a negated min-plus matrix).  The star is
+    I (+) W+, i.e. W+ with a zero diagonal.
     """
     S = W.copy()
-    for k in range(len(W)):
+    pivots = range(len(W)) if pivots is None else pivots
+    for pos, k in enumerate(pivots):
         if S[k, k] > 0:
-            raise StarDivergenceError(kind, W, k)
+            raise StarDivergenceError(kind, W[np.ix_(pivots, pivots)], pos)
         np.maximum(S, S[:, k, None] + S[k], out=S)
     return S
 

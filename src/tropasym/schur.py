@@ -1,10 +1,12 @@
 """Min-plus Schur complements and the candidate-exponent pipeline.
 
 Eliminating a node set C from a min-plus matrix replaces paths through C by
-their shortest bypass: Schur(C, A) = A_NN (+) A_NC (A_CC)* A_CN.  Iterating
-this on critical node sets produces a level sequence whose eigenvalues
-normalize the base matrix; the star of the normalized matrix then yields
-candidate exponent vectors for the asymptotic eigenvector analysis.
+their shortest bypass: Schur(C, A) = A_NN (+) A_NC (A_CC)* A_CN, that is,
+Floyd-Warshall rounds over the pivots in C read on the N x N block (partial
+Gaussian elimination in the path algebra).  Iterating this on critical node
+sets produces a level sequence whose eigenvalues normalize the base matrix;
+the star of the normalized matrix then yields candidate exponent vectors for
+the asymptotic eigenvector analysis.
 
 The base matrix is normalized by subtracting from row i the eigenvalue of
 the level at which node i was eliminated.  Candidates are predictions to be
@@ -41,28 +43,20 @@ def _require_min_plus(A: TropicalMatrix, what: str):
 
 
 def minplus_schur(A: TropicalMatrix, C: set[int] | frozenset[int]) -> TropicalMatrix:
-    """Schur complement of the node set C in the min-plus matrix A."""
+    """Schur complement of the node set C in the min-plus matrix A: the star's
+    rounds over the pivots in C, read on the other nodes.  A negative cycle
+    inside C raises StarDivergenceError, numbered by position in sorted(C)."""
     _require_min_plus(A, "minplus_schur")
     n = A.n
     C = frozenset(C)
-    if not C <= set(range(n)):
+    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and 0 <= c < n
+               for c in C):
         raise ValueError("C contains invalid node indices")
-    if C == set(range(n)):
+    if len(C) == n:
         raise ValueError("cannot eliminate every node")
-    if not C:
-        return A
-    Ns = sorted(set(range(n)) - C)
-    Cs = sorted(C)
-    # the star of A_CC sums within 2|C|M for M = max|A|, a detour within nM
-    W = _int_array(A.nums, 2 * n)
-    WN, WC = W[Ns], W[Cs]
-    star = -_star(-WC[:, Cs], "negative")  # raises on a negative cycle in C
-    star.flat[:: len(Cs) + 1] = 0  # I (+) plus-closure: a detour may leave C where it enters
-    # (A_NC (x) C*) (x) A_CN: the best detour into C, through it, and out again
-    through = (WN[:, Cs, None] + star).min(axis=1)
-    detour = (through[:, :, None] + WC[:, Ns]).min(axis=1)
-    out = np.minimum(WN[:, Ns], detour)
-    return TropicalMatrix(tuple(map(tuple, out.tolist())), A.den, MIN_PLUS)
+    Ns = [i for i in range(n) if i not in C]
+    S = -_star(-_int_array(A.nums, 2 * n), "negative", sorted(C))
+    return TropicalMatrix(tuple(map(tuple, S[np.ix_(Ns, Ns)].tolist())), A.den, MIN_PLUS)
 
 
 @dataclass(frozen=True)
@@ -101,12 +95,10 @@ def schur_sequence(B: TropicalMatrix) -> list[SchurLevel]:
             )
         )
         crit = sd.critical_nodes
-        if crit == set(range(current.n)):
+        if len(crit) == current.n:
             return levels
-        normalized = current.shift(-lam)
-        survivors = [i for i in range(current.n) if i not in crit]
-        current = minplus_schur(normalized, crit)
-        node_map = tuple(node_map[i] for i in survivors)
+        current = minplus_schur(current.shift(-lam), crit)
+        node_map = tuple(x for i, x in enumerate(node_map) if i not in crit)
 
 
 @dataclass(frozen=True)

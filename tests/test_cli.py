@@ -17,6 +17,7 @@ from tropasym.figures import figure_report
 from tropasym.plotting import render_eigenspace_svg
 
 FIG2 = '[["0","-2.5","-0.5"],["-1","0","-1.5"],["-1","-1","0"]]'
+FIG4 = '[["0","-1","-1"],["-4","0","-1"],["-1","-1","-4"]]'
 FIG6 = '[["0","-3","-2"],["1","0","-1"],["2","1","0"]]'
 FIG7 = '[["0","1","3"],["-5","0","1"],["-6","-1","0"]]'
 CEX = '[["0","-3","-4"],["-1","0","-2"],["-1","-1","0"]]'
@@ -26,6 +27,21 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for argv in (
+        ["spectrum", "--matrix", FIG7, "--out", str(missing / "x.json")],
+        ["plot", "--matrix", FIG7, "--doublings", "1", "--grid", "8",
+         "--out", str(missing / "x.svg")],
+        ["conjectures", "--seed", "1", "--chains", "1", "--families", "0",
+         "--doublings", "1", "--dataset", str(missing / "x.jsonl")],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and str(missing) in err, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSpectrum:
@@ -436,7 +452,8 @@ def _sha(text: str) -> str:
 def pinned_outputs(tmp_path, capsys) -> dict[str, str]:
     """Digests of fixed-seed CLI outputs that contain no float text, and of region SVGs."""
     out = {}
-    for name, matrix in (("FIG2", FIG2), ("FIG7", FIG7), ("CEX", CEX)):
+    # figure-4's schur report has two levels, so it is the one that runs minplus_schur
+    for name, matrix in (("FIG2", FIG2), ("FIG4", FIG4), ("FIG7", FIG7), ("CEX", CEX)):
         code, text, _ = run(["spectrum", "--matrix", matrix], capsys)
         assert code == 0
         out[f"spectrum {name}"] = _sha(text)
@@ -503,6 +520,8 @@ class TestFixedSeedOutputs:
         "schur FIG7": "0b9e1784fe614d4c",
         "spectrum CEX": "f85486630efa0ff5",
         "schur CEX": "b0f26282c7e3efc8",
+        "spectrum FIG4": "84bb17db707969ff",
+        "schur FIG4": "6350d2ee3bfdc025",
         "conjectures report": "68fef7875211c8e3",
         "conjectures dataset": "93ef3419f2a93b40",
         "region FIG2": "70f916e1f82ca70a",

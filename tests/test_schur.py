@@ -69,14 +69,23 @@ class TestMinplusSchur:
 
     def test_invalid_nodes_rejected(self):
         A = minplus([[0, 1], [1, 0]])
-        for C in ({2}, {-1}, {0, 5}):
+        # 0.0, 1.0 and True hash equal to valid indices but are no node labels
+        for C in ({2}, {-1}, {0, 5}, {0.0}, {1.0, 0}, {True}):
             with pytest.raises(ValueError, match="invalid node"):
                 minplus_schur(A, C)
 
     def test_negative_cycle_in_block_rejected(self):
-        A = minplus([[-1, 5, 5], [5, 0, 5], [5, 5, 0]])
-        with pytest.raises(StarDivergenceError):
-            minplus_schur(A, {0})
+        # the witness cycle lies in C, numbered by position in sorted(C)
+        for rows, C in (
+            ([[-1, 5, 5], [5, 0, 5], [5, 5, 0]], {0}),
+            ([[0, 5, 5], [5, 0, -3], [5, -3, 0]], {1, 2}),
+        ):
+            with pytest.raises(StarDivergenceError) as exc:
+                minplus_schur(minplus(rows), C)
+            assert exc.value.cycle and set(exc.value.cycle) <= set(range(len(C)))
+        # a negative cycle that avoids C is no divergence: its nodes survive
+        A = minplus([[0, 5, 5], [5, 0, -3], [5, -3, 0]])
+        assert minplus_schur(A, {0}) == minplus([[0, -3], [-3, 0]])
 
     def test_restricted_shortest_path_oracle(self):
         rng = random.Random(2)
