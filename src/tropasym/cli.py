@@ -11,8 +11,10 @@ an explicit --seed so that every report is reproducible.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -197,7 +199,11 @@ def cmd_conjectures(args) -> int:
     conj.export_samples(dataset_rows, dataset_path)
     report["dataset"] = {"path": dataset_path, "rows": len(dataset_rows)}
 
-    _emit(json.dumps(report, indent=2), args.out)
+    try:
+        _emit(json.dumps(report, indent=2), args.out)
+    except OSError:
+        Path(dataset_path).unlink()  # a failed campaign leaves no dataset
+        raise
     return 0
 
 
@@ -251,10 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_output_dirs(args):
+    """Refuse, before any solving, an output whose directory does not exist."""
+    for out in (args.out, getattr(args, "dataset", None)):
+        if out and not Path(out).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except (ValueError, OSError) as exc:  # OSError: an unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)

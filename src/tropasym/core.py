@@ -337,7 +337,7 @@ class FloatPoint:
             raise ValueError("empty point")
         if self.coords[0] != 0.0:
             raise ValueError("first coordinate must be 0; use float_point")
-        if not all(math.isfinite(c) for c in self.coords):
+        if not all(map(math.isfinite, self.coords)):
             raise ValueError("coordinates must be finite")
 
     @property
@@ -346,10 +346,10 @@ class FloatPoint:
 
 
 def float_point(v: Iterable[float]) -> FloatPoint:
-    vals = [float(x) for x in v]
-    if not vals:
+    v = np.asarray(v, dtype=float)
+    if not v.size:
         raise ValueError("empty vector")
-    return FloatPoint(tuple(x - vals[0] for x in vals))
+    return FloatPoint(tuple((v - v[0]).tolist()))
 
 
 def span_distance(x: Sequence[float], gens: Sequence[Sequence[float]]) -> float:

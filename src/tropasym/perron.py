@@ -86,9 +86,10 @@ _HEADROOM = 9.0
 _GEMM_MIN_N = 16
 
 # a row with a scaled GEMM entry below this goes back to the row-blocked
-# kernel: a term that exp flushes to zero is below e^-745 of its row and
-# column maxima, while an entry of at least 1e-280 (about e^-645) loses
-# nothing to underflow beyond rounding
+# kernel, and a power-step row with a scaled GEMV sum below it to _lse_rows:
+# a term that exp flushes to zero is below e^-745 of its row and column
+# maxima, while an entry of at least 1e-280 (about e^-645) loses nothing to
+# underflow beyond rounding
 _GEMM_UNDERFLOW = 1e-280
 
 # row block height of the row-blocked kernel; 8 measured as fast as 16
@@ -117,16 +118,33 @@ def _log_matmul(B: np.ndarray, C: np.ndarray) -> np.ndarray:
 
     One BLAS GEMM on operands scaled by the row maxima r of B and the column
     maxima c of C: out = r + c + log(exp(B - r) @ exp(C - c)), which takes
-    2n^2 exponentials where the row-blocked kernel takes n^3.  Every term of
+    2n^2 exponentials where the row-blocked kernel takes n^3; see
+    _log_matmul_scaled.
+    """
+    return _log_matmul_scaled(B, *_row_scaled(B), C)
+
+
+def _row_scaled(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row maxima r of B and exp(B - r), the GEMM's left operand."""
+    r = _max(B, axis=1)
+    E = np.subtract(B, r[:, None])
+    return r, np.exp(E, out=E)
+
+
+def _log_matmul_scaled(
+    B: np.ndarray, r: np.ndarray, E: np.ndarray, C: np.ndarray
+) -> np.ndarray:
+    """_log_matmul(B, C) from B's row maxima r and E = exp(B - r).
+
+    The accelerator passes the E its power step already took.  Every term of
     the scaled GEMM is at most 1, so nothing overflows, but a term far below
     its row and column maxima underflows: the rows in which some entry falls
     below _GEMM_UNDERFLOW, where a lost term could matter, are recomputed by
     the row-blocked kernel.  The GEMM sums in another order than the
     row-blocked kernel, so the two agree to rounding, not bit for bit.
     """
-    r = _max(B, axis=1)
     c = _max(C, axis=0)
-    P = np.exp(B - r[:, None]) @ np.exp(C - c)
+    P = E @ np.exp(C - c)
     low = ()
     if np.minimum.reduce(P, axis=None) < _GEMM_UNDERFLOW:
         low = np.flatnonzero(np.minimum.reduce(P, axis=1) < _GEMM_UNDERFLOW)
@@ -135,6 +153,29 @@ def _log_matmul(B: np.ndarray, C: np.ndarray) -> np.ndarray:
     out += r[:, None] + c
     if len(low):
         out[low] = _log_matmul_blocked(B[low], C)
+    return out
+
+
+def _log_matvec_scaled(
+    B: np.ndarray, r: np.ndarray, E: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """The power step logsumexp_j(B_ij + x_j) from B's row maxima r and
+    E = exp(B - r): one GEMV.
+
+    With m = max(x) it is r + m + log(E @ exp(x - m)), n exponentials where
+    _lse_rows(B + x) takes n^2.  A row whose scaled sum falls below
+    _GEMM_UNDERFLOW may have lost a term, so it is recomputed by _lse_rows.
+    """
+    m = _max(x)
+    s = E @ np.exp(x - m)
+    low = ()
+    if np.minimum.reduce(s) < _GEMM_UNDERFLOW:
+        low = np.flatnonzero(s < _GEMM_UNDERFLOW)
+        s[low] = 1.0  # recomputed below, as in _log_matmul_scaled
+    out = np.log(s, out=s)
+    out += r + m
+    if len(low):
+        out[low] = _lse_rows(B[low] + x)
     return out
 
 
@@ -212,9 +253,12 @@ def _accelerate(kA: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     Below _GEMM_MIN_N, B is the left n columns of one (n, n+1) buffer
     [B | x], and the row-blocked product of B with it gives B squared in
     columns 0..n-1 and the power step in column n: one product per round.
-    From _GEMM_MIN_N on, the square GEMM squares B and the power step is a
-    pass of its own: at n=200 an n x (n+1) GEMM split its sums differently
-    at 1 and 2 BLAS threads, where the square one agrees.
+    From _GEMM_MIN_N on, a round takes B's row maxima r and E = exp(B - r)
+    once: the power step is a GEMV with E, and the square GEMM that squares
+    B, when the round goes on, takes E as its left operand, so a round costs
+    2n^2 + n exponentials.  The power step stays out of the GEMM: at n=200
+    an n x (n+1) GEMM split its sums differently at 1 and 2 BLAS threads,
+    where the square one agrees.
     """
     n = kA.shape[0]
     u = _lse_rows(kA + y)
@@ -232,7 +276,8 @@ def _accelerate(kA: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
             P = _log_matmul_blocked(B, Bx)
             xnew = P[:, n] - P[0, n]
         else:
-            xnew = _lse_rows(B + x)
+            r, E = _row_scaled(B)
+            xnew = _log_matvec_scaled(B, r, E, x)
             xnew -= xnew[0]
         if not np.logical_and.reduce(np.isfinite(xnew)):
             break
@@ -241,7 +286,7 @@ def _accelerate(kA: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
         if delta < 1e-12:
             break  # aggregation stabilized
         if not fused:
-            P = _log_matmul(B, B)
+            P = _log_matmul_scaled(B, r, E, B)
         P = P[:, :n]
         np.subtract(P, _max(P, axis=None), out=B)
     return x, rounds

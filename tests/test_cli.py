@@ -44,6 +44,41 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_missing_output_directory_is_refused_before_solving(tmp_path, monkeypatch, capsys):
+    import tropasym.cli
+    import tropasym.conjectures
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an output the command cannot write must be refused first")
+
+    monkeypatch.setattr(tropasym.cli, "normalized_trajectory", no_solve)
+    monkeypatch.setattr(tropasym.conjectures, "normalized_trajectory", no_solve)
+    missing = tmp_path / "missing"
+    for argv in (
+        ["plot", "--matrix", FIG7, "--doublings", "1", "--out", str(missing / "x.svg")],
+        ["perron", "--matrix", FIG2, "--doublings", "1", "--out", str(missing / "x.csv")],
+        ["conjectures", "--seed", "1", "--chains", "1", "--families", "0", "--doublings", "1",
+         "--dataset", str(tmp_path / "ds.jsonl"), "--out", str(missing / "r.json")],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and str(missing) in err, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_report_write_removes_the_dataset(tmp_path, capsys):
+    # the report path is an existing directory, so only the write itself fails
+    (tmp_path / "r.json").mkdir()
+    code, out, err = run(
+        ["conjectures", "--seed", "1", "--chains", "1", "--families", "0", "--doublings", "1",
+         "--dataset", str(tmp_path / "ds.jsonl"), "--out", str(tmp_path / "r.json")],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "r.json" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
 class TestSpectrum:
     def test_figure7(self, capsys):
         code, out, _ = run(["spectrum", "--matrix", FIG7], capsys)

@@ -459,32 +459,70 @@ class TestLogMatmul:
         rest = np.delete(np.arange(n), [3, 5])
         assert np.abs(got[rest] - want[rest]).max() <= gemm_bound(B, C)
 
+    def test_power_step_underflowed_rows_fall_back_to_lse_rows(self, monkeypatch):
+        # rows 3 and 5 of B sit 900 and 700 below their maximum but for one
+        # entry, whose coordinate of x sits 900 (row 3) or 700 (row 5) below
+        # max(x): every term of row 3 is more than 745 below r_3 + max(x), so
+        # its scaled GEMV sum is 0, and row 5's is near 1e-304
+        n = 24
+        rng = np.random.default_rng(6)
+        B = rng.uniform(-5.0, 0.0, (n, n))
+        x = rng.uniform(-5.0, 0.0, n)
+        B[3] = -900.0
+        B[3, 0] = 0.0
+        x[0] = -900.0
+        B[5] = -700.0
+        B[5, 1] = 0.0
+        x[1] = -700.0
+        fallback_rows = []
+        lse_rows = perron._lse_rows
+
+        def recording(X):
+            fallback_rows.append(len(X))
+            return lse_rows(X)
+
+        monkeypatch.setattr(perron, "_lse_rows", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = perron._log_matvec_scaled(B, *perron._row_scaled(B), x)
+        assert fallback_rows == [2]
+        for i in (3, 5):
+            assert np.array_equal(got[[i]], lse_rows(B[[i]] + x))
+        want = log_matmul_oracle(B, x[:, None])[:, 0]
+        rest = np.delete(np.arange(n), [3, 5])
+        assert np.abs(got[rest] - want[rest]).max() <= gemm_bound(B, x[:, None])
+
     def test_trajectory_bit_identical_under_oracle(self, monkeypatch):
         # bit for bit below the GEMM cut-over (n=3), where each round is one
-        # row-blocked product; from the cut-over (n=24, 40, 16) the GEMM sums
-        # in another order, so the samples must agree in k and iterations and
-        # their points and eigenvalues within the solver's own certification
-        # tolerance
+        # row-blocked product.  From the cut-over (n=24, 40, 16) the GEMV
+        # power step and the GEMM sum in another order than
+        # trajectory_oracle, whose power step is a separate _lse_rows pass,
+        # so the samples must agree in k and iterations and their points and
+        # eigenvalues within the solver's own certification tolerance
         rng = np.random.default_rng(11)
         half_grid = -0.5 * np.arange(1, 13)  # -1/2, -1, ..., -6
-        squarings = 0
+        products = {"blocked": 0, "gemm": 0}
 
-        def counting_oracle(B, C):
-            nonlocal squarings
-            squarings += 1
-            return log_matmul_oracle(B, C)
+        def counting(name, f):
+            def wrapped(*args):
+                products[name] += 1
+                return f(*args)
+
+            return wrapped
 
         for n in (3, 24, 40, 16):
             A = zero_diagonal(n, rng, half_grid)
             ks = geometric_schedule(10)
-            library = normalized_trajectory(A, ks)
-            with monkeypatch.context() as m:
-                m.setattr(perron, "_log_matmul", counting_oracle)
-                m.setattr(perron, "_log_matmul_blocked", counting_oracle)
-                reference = normalized_trajectory(A, ks)
             if n < perron._GEMM_MIN_N:
-                assert library == reference
+                library = normalized_trajectory(A, ks)
+                with monkeypatch.context() as m:
+                    m.setattr(perron, "_log_matmul_blocked", counting("blocked", log_matmul_oracle))
+                    assert normalized_trajectory(A, ks) == library
                 continue
+            with monkeypatch.context() as m:
+                m.setattr(perron, "_log_matmul_scaled", counting("gemm", perron._log_matmul_scaled))
+                library = normalized_trajectory(A, ks)
+            reference = trajectory_oracle(A, ks)
             assert library.failures == reference.failures == ()
             assert [(s.k, s.iterations) for s in library.samples] == [
                 (s.k, s.iterations) for s in reference.samples
@@ -492,7 +530,7 @@ class TestLogMatmul:
             for s, t in zip(library.samples, reference.samples):
                 assert abs(s.log_rho_over_k - t.log_rho_over_k) <= perron._TOL
                 assert np.allclose(s.point.coords, t.point.coords, rtol=0, atol=perron._TOL)
-        assert squarings > 0  # the accelerator ran
+        assert products["blocked"] > 0 and products["gemm"] > 0  # the accelerator ran
 
     def test_temporaries_below_one_cube(self, monkeypatch):
         # the one-tensor product peaks at three n^3 float64 tensors
@@ -509,14 +547,14 @@ class TestLogMatmul:
         assert peak < cube
 
         squarings = 0
-        blocked = perron._log_matmul
+        gemm = perron._log_matmul_scaled
 
-        def counting(B, C):
+        def counting(B, r, E, C):
             nonlocal squarings
             squarings += 1
-            return blocked(B, C)
+            return gemm(B, r, E, C)
 
-        monkeypatch.setattr(perron, "_log_matmul", counting)
+        monkeypatch.setattr(perron, "_log_matmul_scaled", counting)
         tracemalloc.start()
         try:
             traj = normalized_trajectory(A, geometric_schedule())
