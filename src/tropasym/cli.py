@@ -80,11 +80,6 @@ def load_matrix(args) -> TropicalMatrix:
     return _matrix_from_obj(obj)
 
 
-def _trajectory(A: TropicalMatrix, args):
-    """A's trajectory along the command's schedule."""
-    return normalized_trajectory(A.to_floats(), geometric_schedule(args.doublings))
-
-
 def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
@@ -103,8 +98,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_perron(args) -> int:
     A = load_matrix(args)
+    schedule = geometric_schedule(args.doublings)
     gens = [g.to_floats() for g in spectral_data(A).generators]
-    traj = _trajectory(A, args)
+    traj = normalized_trajectory(A.to_floats(), schedule)
     _emit(trajectory_csv(traj, gens), args.out)
     est = estimate_p_infinity(traj)  # EstimateError -> exit 2, CSV already emitted
     sys.stdout.write(json.dumps(est.to_json_dict(), indent=2) + "\n")
@@ -113,8 +109,9 @@ def cmd_perron(args) -> int:
 
 def cmd_schur(args) -> int:
     A = load_matrix(args)
+    schedule = geometric_schedule(args.doublings)
     report = candidate_exponents(A.negate())
-    traj = _trajectory(A, args)
+    traj = normalized_trajectory(A.to_floats(), schedule)
     est = estimate_p_infinity(traj)
     verdicts = compare_prediction(A, report, est, tol=_MATCH_TOL)
     _emit(report_to_json(report, verdicts), args.out)
@@ -133,8 +130,11 @@ def cmd_plot(args) -> int:
         raise ValueError(
             "plot requires n = 3: only TP^2 projects to the plane for drawing"
         )
+    if args.grid < 2:
+        raise ValueError("grid must be at least 2")
+    schedule = geometric_schedule(args.doublings)
     sd = spectral_data(A)
-    traj = _trajectory(A, args)
+    traj = normalized_trajectory(A.to_floats(), schedule)
     svg = render_eigenspace_svg(sd, traj, grid=args.grid)
     out = args.out or "eigenspace.svg"
     Path(out).write_text(svg)

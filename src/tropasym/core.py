@@ -180,12 +180,16 @@ def _find_bad_cycle(W: list[list[int]]) -> tuple[int, ...]:
     return tuple(cycle)
 
 
-def _int_array(nums: Sequence[Sequence[int]], growth: int) -> np.ndarray:
+def _int_array(nums: Sequence[Sequence[int]] | np.ndarray, growth: int) -> np.ndarray:
     """The numerators as an exact integer array for a kernel that forms no
     value past `growth` times their largest magnitude: int64 while that
-    bound stays below 2**62, Python ints (dtype object) from there on."""
-    bound = growth * max(map(abs, chain.from_iterable(nums)))
-    return np.array(nums, dtype=np.int64 if bound < 1 << 62 else object)
+    bound stays below 2**62, Python ints (dtype object) from there on.  An
+    array already of that dtype is returned as it is."""
+    if isinstance(nums, np.ndarray):
+        bound = growth * int(abs(nums).max())
+    else:
+        bound = growth * max(map(abs, chain.from_iterable(nums)))
+    return np.asarray(nums, dtype=np.int64 if bound < 1 << 62 else object)
 
 
 def _star(W: np.ndarray, kind: str, pivots: Sequence[int] | None = None) -> np.ndarray:

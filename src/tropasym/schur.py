@@ -8,6 +8,12 @@ sets produces a level sequence whose eigenvalues normalize the base matrix;
 the star of the normalized matrix then yields candidate exponent vectors for
 the asymptotic eigenvector analysis.
 
+A level never leaves integers: it is one array of max-plus numerators, and
+both its critical structure (the plus-closure of the eigenvalue-normalized
+array, as in `spectral_data`) and the next level (the pivot rounds over its
+critical nodes on that normalized array, as in `minplus_schur`) are read
+off it.  Only level 0 goes through `spectral_data`'s cache.
+
 The base matrix is normalized by subtracting from row i the eigenvalue of
 the level at which node i was eliminated.  Candidates are predictions to be
 checked, not guarantees: compare_prediction reports for each one whether it
@@ -21,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +41,13 @@ from .core import (
     kleene_star,
 )
 from .perron import PinfEstimate
-from .spectral import spectral_data
+from .spectral import (
+    _normalized,
+    _normalized_closure,
+    _normalized_plus_lists,
+    _numerators,
+    spectral_data,
+)
 
 
 def _require_min_plus(A: TropicalMatrix, what: str):
@@ -42,10 +55,22 @@ def _require_min_plus(A: TropicalMatrix, what: str):
         raise ValueError(f"{what} requires a min-plus matrix, got {A.semiring}")
 
 
+def _complement(W, C: list[int], keep: list[int], kind: str):
+    """The Schur complement of the sorted pivots C in the max-plus integer
+    array W, whose other nodes are `keep`: `_star`'s rounds over C read on
+    keep x keep.  On rows of Python ints, which must hold no positive cycle,
+    the rounds are `_normalized_plus_lists`', in place."""
+    if isinstance(W, np.ndarray):
+        return _star(W, kind, C)[np.ix_(keep, keep)]
+    S = _normalized_plus_lists(W, C)
+    return [[S[i][j] for j in keep] for i in keep]
+
+
 def minplus_schur(A: TropicalMatrix, C: set[int] | frozenset[int]) -> TropicalMatrix:
     """Schur complement of the node set C in the min-plus matrix A: the star's
-    rounds over the pivots in C, read on the other nodes.  A negative cycle
-    inside C raises StarDivergenceError, numbered by position in sorted(C)."""
+    rounds over the pivots in C, read on the other nodes (`_complement` on
+    -A).  A negative cycle inside C raises StarDivergenceError, numbered by
+    position in sorted(C)."""
     _require_min_plus(A, "minplus_schur")
     n = A.n
     C = frozenset(C)
@@ -54,9 +79,24 @@ def minplus_schur(A: TropicalMatrix, C: set[int] | frozenset[int]) -> TropicalMa
         raise ValueError("C contains invalid node indices")
     if len(C) == n:
         raise ValueError("cannot eliminate every node")
-    Ns = [i for i in range(n) if i not in C]
-    S = -_star(-_int_array(A.nums, 2 * n), "negative", sorted(C))
-    return TropicalMatrix(tuple(map(tuple, S[np.ix_(Ns, Ns)].tolist())), A.den, MIN_PLUS)
+    keep = [i for i in range(n) if i not in C]
+    S = _complement(-_int_array(A.nums, 2 * n), sorted(C), keep, "negative")
+    return TropicalMatrix(tuple(map(tuple, (-S).tolist())), A.den, MIN_PLUS)
+
+
+def _min_plus_level(S, den: int):
+    """The min-plus matrix -S / den, and S divided by the gcd that brings
+    that matrix to lowest terms, so S stays the negated numerators of it."""
+    if isinstance(S, np.ndarray):
+        g = math.gcd(den, int(np.gcd.reduce(S, axis=None)))
+        if S.any():  # g then divides a nonzero entry, so it fits S's dtype
+            S = S // g
+        rows = (-S).tolist()
+    else:
+        g = math.gcd(den, *chain.from_iterable(S))
+        S = [[x // g for x in row] for row in S]
+        rows = [[-x for x in row] for row in S]
+    return TropicalMatrix(tuple(map(tuple, rows)), den // g, MIN_PLUS), S
 
 
 @dataclass(frozen=True)
@@ -75,30 +115,46 @@ def schur_sequence(B: TropicalMatrix) -> list[SchurLevel]:
     next level is the Schur complement of the critical node set in the
     eigenvalue-normalized current matrix.  Terminates once every surviving
     node is critical.
+
+    Each level is one integer array W of the max-plus numerators of -level
+    over den, whose dtype `spectral._numerators` picks again for the level's
+    own size and values (rows of Python ints below its _ARRAY_MIN_N).
+    `spectral._normalized_closure(W)` gives its eigenvalue -p / (q den) and
+    critical classes off the plus-closure of Abar = W q - p; the next level
+    is `_complement` of the critical nodes on Abar, over den q and reduced
+    to lowest terms.  Level 0 takes the eigenvalue and classes from the
+    cached `spectral_data(-B)`, so a caller that solved -B is not re-solved,
+    and later levels leave that cache alone.
     """
     _require_min_plus(B, "schur_sequence")
+    A = B.negate()
+    n, den = A.n, A.den
+    sd = spectral_data(A)
+    W = _numerators(A.nums, 4 * n * n)
+    # sd.lam = p / (q den) with q <= n, so W's 4n^2 guard covers Abar = W q - p
+    p, q = (sd.lam * den).as_integer_ratio()
+    nodes, classes = sorted(sd.critical_nodes), sd.classes
+    matrix, node_map = B, tuple(range(n))
     levels: list[SchurLevel] = []
-    current = B
-    node_map = tuple(range(B.n))
     while True:
-        sd = spectral_data(current.negate())  # min-plus critical structure of current
-        lam = -sd.lam
-        classes_orig = tuple(
-            tuple(node_map[i] for i in cls) for cls in sd.classes
-        )
         levels.append(
             SchurLevel(
-                matrix=current,
+                matrix=matrix,
                 node_map=node_map,
-                eigenvalue=lam,
-                removed_classes=classes_orig,
+                eigenvalue=Fraction(-p, q * den),
+                removed_classes=tuple(tuple(node_map[i] for i in cls) for cls in classes),
             )
         )
-        crit = sd.critical_nodes
-        if len(crit) == current.n:
+        if len(nodes) == len(W):
             return levels
-        current = minplus_schur(current.shift(-lam), crit)
-        node_map = tuple(x for i, x in enumerate(node_map) if i not in crit)
+        crit = set(nodes)
+        keep = [i for i in range(len(W)) if i not in crit]
+        node_map = tuple(node_map[i] for i in keep)
+        S = _complement(_normalized(W, p, q), nodes, keep, "positive")
+        matrix, W = _min_plus_level(S, den * q)
+        den = matrix.den
+        W = _numerators(W, 4 * len(W) ** 2)
+        p, q, _, nodes, classes = _normalized_closure(W)
 
 
 @dataclass(frozen=True)

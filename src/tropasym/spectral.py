@@ -85,32 +85,75 @@ def _karp(D: list[list[int]]) -> tuple[int, int]:
     return best_p, best_q
 
 
-def _normalized_plus_lists(W: list[list[int]]) -> list[list[int]]:
-    """`_star` on rows of Python ints with no positive cycle, unchecked."""
-    S = [row[:] for row in W]
-    for k, Sk in enumerate(S):
-        # in place: with no positive cycle, round k leaves row k and column k alone
-        for Si in S:
-            a = Si[k]
-            for j, y in enumerate(Sk):
-                if a + y > Si[j]:
-                    Si[j] = a + y
-    return S
+def _normalized_plus_lists(
+    W: list[list[int]], pivots: Sequence[int] | None = None
+) -> list[list[int]]:
+    """`_star` on rows of Python ints with no positive cycle, unchecked and
+    in place."""
+    for k in range(len(W)) if pivots is None else pivots:
+        Wk = W[k]
+        # with no positive cycle, round k leaves row k and column k alone
+        for Wi in W:
+            a = Wi[k]
+            for j, y in enumerate(Wk):
+                if a + y > Wi[j]:
+                    Wi[j] = a + y
+    return W
 
 
-def _karp_mean(A: TropicalMatrix, growth: int) -> tuple[int, int, np.ndarray | None]:
-    """A's maximum cycle mean p / q over A.den, and the `_int_array(A.nums,
-    growth)` Karp ran on, or None below _ARRAY_MIN_N, where it runs on lists."""
-    if A.n < _ARRAY_MIN_N:
-        return *_karp(_walks_lists(A.nums)), None
-    W = _int_array(A.nums, growth)
-    return *_karp(_walks(W)), W
+def _numerators(W: Sequence[Sequence[int]] | np.ndarray, growth: int):
+    """The max-plus numerators W as the kernels below take them: rows of
+    Python ints below _ARRAY_MIN_N, and from there on `_int_array(W,
+    growth)`, whose dtype is checked again for every array passed in."""
+    if len(W) < _ARRAY_MIN_N:
+        return W.tolist() if isinstance(W, np.ndarray) else W
+    return _int_array(W, growth)
+
+
+def _karp_mean(W) -> tuple[int, int]:
+    """The maximum cycle mean of the `_numerators` W, as p / q with q > 0."""
+    return _karp(_walks(W) if isinstance(W, np.ndarray) else _walks_lists(W))
+
+
+def _normalized(W, p: int, q: int):
+    """Abar = W q - p, the numerators of W - p / q over q, in W's form."""
+    if isinstance(W, np.ndarray):
+        return W * q - p
+    return [[x * q - p for x in row] for row in W]
+
+
+def _normalized_closure(W):
+    """Karp's p / q for the `_numerators` W, the plus-closure T of Abar =
+    `_normalized(W, p, q)` as lists, and the critical nodes and classes read
+    off T.
+
+    Abar has no positive cycle.  Node i is critical (on a zero-mean cycle)
+    iff T_ii = 0, and critical i and j share a class (a strongly connected
+    component of the critical graph) iff T_ij + T_ji = 0.  |Abar| <= 2nM for
+    M = max|W| since |p / q| <= M, so the closure's sums stay within 4n^2 M:
+    the growth W's dtype must allow.
+    """
+    p, q = _karp_mean(W)
+    Abar = _normalized(W, p, q)
+    if isinstance(Abar, np.ndarray):
+        T = _star(Abar, "positive").tolist()
+    else:
+        T = _normalized_plus_lists(Abar)
+    nodes = [i for i in range(len(T)) if T[i][i] == 0]
+    classes: list[tuple[int, ...]] = []
+    placed: set[int] = set()
+    for u in nodes:
+        if u not in placed:
+            cls = tuple(v for v in nodes if T[u][v] + T[v][u] == 0)
+            placed.update(cls)
+            classes.append(cls)
+    return p, q, T, nodes, classes
 
 
 def max_cycle_mean(A: TropicalMatrix) -> Fraction:
     """Maximum mean weight over all directed cycles, by Karp on A's numerators."""
     _require_max_plus(A, "max_cycle_mean")
-    p, q, _ = _karp_mean(A, A.n)
+    p, q = _karp_mean(_numerators(A.nums, A.n))
     return Fraction(p, q * A.den)
 
 
@@ -135,11 +178,9 @@ class SpectralData:
 def spectral_data(A: TropicalMatrix) -> SpectralData:
     """Eigenvalue, critical nodes and classes, and deduplicated generators.
 
-    T is the plus-closure of Abar = A - lam, which has no positive cycle.
-    Node i is critical (on a zero-mean cycle) iff T_ii = 0, and critical i
-    and j share a class (a strongly connected component of the critical
-    graph) iff T_ij + T_ji = 0.  Generators are T's columns at one node per
-    class, deduplicated projectively; at a critical node they are the star's.
+    T is the plus-closure of Abar = A - lam (see `_normalized_closure`).
+    Generators are T's columns at one node per class, deduplicated
+    projectively; at a critical node they are the star's.
 
     The last 8 records are kept, keyed by the matrix (whose `==` and `hash`
     compare the rational entries), so a caller and the Schur level 0 of
@@ -147,21 +188,7 @@ def spectral_data(A: TropicalMatrix) -> SpectralData:
     """
     _require_max_plus(A, "spectral_data")
     n = A.n
-    # Abar = A - lam is W q - p over q den, and |W q - p| <= 2nM for M =
-    # max|W| since |lam| <= M, so its closure sums stay within 4n^2 M
-    p, q, W = _karp_mean(A, 4 * n * n)
-    if W is None:
-        T = _normalized_plus_lists([[x * q - p for x in row] for row in A.nums])
-    else:
-        T = _star(W * q - p, "positive").tolist()
-    nodes = [i for i in range(n) if T[i][i] == 0]
-    classes: list[tuple[int, ...]] = []
-    placed: set[int] = set()
-    for u in nodes:
-        if u not in placed:
-            cls = tuple(v for v in nodes if T[u][v] + T[v][u] == 0)
-            placed.update(cls)
-            classes.append(cls)
+    p, q, T, nodes, classes = _normalized_closure(_numerators(A.nums, 4 * n * n))
     s = q * A.den
     gens: list[ProjectivePoint] = []
     seen: set[tuple[int, ...]] = set()

@@ -66,6 +66,27 @@ def test_missing_output_directory_is_refused_before_solving(tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bad_solver_options_are_refused_before_solving(monkeypatch, capsys):
+    import tropasym.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a bad option must be refused before any solving")
+
+    monkeypatch.setattr(tropasym.cli, "normalized_trajectory", no_solve)
+    monkeypatch.setattr(tropasym.cli, "candidate_exponents", no_solve)
+    # the schur star of this matrix diverges, which must not mask the bad schedule
+    divergent = '[["1/3","2/3"],["-1/2","0"]]'
+    for argv, message in (
+        (["plot", "--matrix", FIG7, "--grid", "1"], "grid must be at least 2"),
+        (["plot", "--matrix", FIG7, "--doublings", "-1"], "schedule values must be finite"),
+        (["perron", "--matrix", FIG2, "--doublings", "-1"], "schedule values must be finite"),
+        (["schur", "--matrix", divergent, "--doublings", "-1"], "schedule values must be finite"),
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"error: {message}"), argv
+
+
 def test_failed_report_write_removes_the_dataset(tmp_path, capsys):
     # the report path is an existing directory, so only the write itself fails
     (tmp_path / "r.json").mkdir()
@@ -487,7 +508,7 @@ def _sha(text: str) -> str:
 def pinned_outputs(tmp_path, capsys) -> dict[str, str]:
     """Digests of fixed-seed CLI outputs that contain no float text, and of region SVGs."""
     out = {}
-    # figure-4's schur report has two levels, so it is the one that runs minplus_schur
+    # figure-4's schur report has two levels, so it is the one that runs a Schur step
     for name, matrix in (("FIG2", FIG2), ("FIG4", FIG4), ("FIG7", FIG7), ("CEX", CEX)):
         code, text, _ = run(["spectrum", "--matrix", matrix], capsys)
         assert code == 0

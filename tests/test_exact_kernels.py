@@ -28,7 +28,7 @@ from tropasym import (
     schur_sequence,
     spectral_data,
 )
-from tropasym import core, spectral
+from tropasym import core, schur, spectral
 from tropasym.core import _int_array
 
 from _oracles import (
@@ -191,6 +191,43 @@ def test_int64_guard_both_sides(monkeypatch):
         )
 
 
+def test_int64_guard_checked_at_every_schur_level(monkeypatch):
+    """A Schur level's numerators can outgrow the int64 guard of the level
+    before it (a level over den q is scaled by q), and a level-0 shift by
+    2^70 is gone one level later.  Every level runs on the dtype
+    `_int_array` picks for its own matrix, and the results are the oracles'."""
+    seen = []
+    closure = schur._normalized_closure
+
+    def recording(W):
+        seen.append(W)
+        return closure(W)
+
+    monkeypatch.setattr(schur, "_normalized_closure", recording)
+    n = 12
+    rng = random.Random(0)
+    M = (1 << 62) // (4 * n * n) - 1
+    near_guard = TropicalMatrix.from_rows([[rng.randint(-M, M) for _ in range(n)] for _ in range(n)])
+    shifted = random_matrix(n, grid_step="1/3", seed=5).shift(2**70)
+    assert _int_array(near_guard.nums, 4 * n * n).dtype == np.int64
+    assert _int_array(shifted.nums, 4 * n * n).dtype == object
+    level_dtypes = []
+    for A in (near_guard, shifted):
+        B = A.negate()
+        seen.clear()
+        levels = schur_sequence(B)
+        assert levels == schur_sequence_oracle(B)
+        assert outcome(candidate_exponents, B) == outcome(candidate_exponents_oracle, B)
+        # levels 1.. of each of the two calls above; level 0 is spectral_data's
+        assert len(seen) == 2 * (len(levels) - 1)
+        arrays = [W for W in seen if isinstance(W, np.ndarray)]
+        for W in arrays:
+            assert W.dtype == _int_array(W.tolist(), 4 * len(W) ** 2).dtype
+        level_dtypes.append([W.dtype for W in arrays])
+    assert level_dtypes[0][0] == object  # level 1 crossed the guard level 0 kept
+    assert np.int64 in level_dtypes[1]  # the 2^70 shift is gone at level 1
+
+
 def test_divergent_star_near_guard_raises_like_oracle():
     """Every edge among nodes 30..39 is positive, every other one negative, so
     the first bad pivot is node 30.  A full Floyd-Warshall pass would then
@@ -260,6 +297,19 @@ class TestSpectralDataCache:
         with pytest.raises(StarDivergenceError):
             candidate_exponents(A.negate())
         assert spectral_runs.count(A) == 1
+
+    def test_schur_levels_leave_the_cache_alone(self, spectral_runs):
+        """Nine Schur levels used to cache eight records of their own and
+        evict every earlier caller's; now only level 0's record is A's."""
+        callers = [random_matrix(4, seed=seed) for seed in range(3)]
+        for C in callers:
+            spectral_data(C)
+        A = random_matrix(16, grid_step="1/2", seed=44)  # the exact workload's grid
+        outcome(candidate_exponents, A.negate())
+        assert len(schur_sequence(A.negate())) == 9
+        for C in callers:
+            spectral_data(C)
+        assert spectral_runs == [*callers, A]  # no caller record re-solved
 
     def test_equal_matrices_share_one_entry(self, spectral_runs):
         A = TropicalMatrix.from_rows([["0", "1/2"], ["-1", "0"]])
