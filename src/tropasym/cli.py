@@ -33,7 +33,7 @@ from .perron import (
 )
 from .plotting import render_eigenspace_svg
 from .schur import candidate_exponents, compare_prediction, report_to_json
-from .spectral import spectral_data
+from .spectral import _batch_chains, spectral_data
 
 
 # largest sup-norm gap at which a measured limit matches its prediction
@@ -41,6 +41,9 @@ _MATCH_TOL = 1e-2
 
 # random draws a conjectures campaign may make to find its counts
 _MAX_ATTEMPTS = 20000
+
+# chain candidates drawn and screened by one `_batch_chains` call
+_CHAIN_BLOCK = 32
 
 
 def _entry_to_rational(x) -> Fraction:
@@ -164,13 +167,25 @@ def cmd_conjectures(args) -> int:
     chains, c1_verdicts = [], []
     attempts = 0
     while len(chains) < args.chains and attempts < _MAX_ATTEMPTS:
-        attempts += 1
-        A = conj.random_matrix(3, seed=rng)
-        gens = spectral_data(A).generators
-        if len(gens) < 2 or conj.translation_chain(gens) is None:
-            continue
-        chains.append(A)
-        c1_verdicts.append(conj.conjecture1_test(A, tol=_MATCH_TOL, schedule=schedule))
+        state = rng.getstate()
+        block, den = conj._draw_nums(3, min(_CHAIN_BLOCK, _MAX_ATTEMPTS - attempts), rng)
+        _, _, flagged = _batch_chains(block)
+        for used, (nums, flag) in enumerate(zip(block, flagged), 1):
+            attempts += 1
+            if not flag:
+                continue
+            A = TropicalMatrix(nums, den)
+            gens = spectral_data(A).generators  # a flag alone never admits a chain
+            if len(gens) < 2 or conj.translation_chain(gens) is None:
+                continue
+            chains.append(A)
+            c1_verdicts.append(conj.conjecture1_test(A, tol=_MATCH_TOL, schedule=schedule))
+            if len(chains) == args.chains:
+                break
+        if used < len(block):
+            # the family loop continues the stream after the last chain drawn
+            rng.setstate(state)
+            conj._draw_nums(3, used, rng)
     report["conjecture1"] = _verdict_summary(c1_verdicts)
 
     bases, c2_verdicts = [], []

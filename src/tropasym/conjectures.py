@@ -241,14 +241,27 @@ def random_matrix(
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    cells, den, base, step = _grid(grid_step, entry_range[0], entry_range[1])
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    # randrange(cells + 1) draws what randint(0, cells) draws, one call fewer
-    nums = tuple(
-        tuple(0 if i == j else base + step * rng.randrange(cells + 1) for j in range(n))
-        for i in range(n)
-    )
+    [nums], den = _draw_nums(n, 1, rng, grid_step, entry_range)
     return TropicalMatrix(nums, den, MAX_PLUS)
+
+
+def _draw_nums(
+    n: int, m: int, rng: random.Random, grid_step=1, entry_range=(-6, 2)
+) -> tuple[list[tuple[tuple[int, ...], ...]], int]:
+    """The numerators of m successive `random_matrix(n, grid_step,
+    entry_range, seed=rng)` draws, and their common denominator (before
+    TropicalMatrix reduces them to lowest terms).  The one definition of
+    random_matrix's draw stream: off-diagonal entries row by row, one
+    randrange each."""
+    cells, den, base, step = _grid(grid_step, entry_range[0], entry_range[1])
+    # randrange(cells + 1) draws what randint(0, cells) draws, one call fewer
+    r, top = rng.randrange, cells + 1
+    draws = [
+        tuple(tuple(0 if i == j else base + step * r(top) for j in range(n)) for i in range(n))
+        for _ in range(m)
+    ]
+    return draws, den
 
 
 @lru_cache(maxsize=8, typed=True)

@@ -186,7 +186,8 @@ def _int_array(nums: Sequence[Sequence[int]] | np.ndarray, growth: int) -> np.nd
     bound stays below 2**62, Python ints (dtype object) from there on.  An
     array already of that dtype is returned as it is."""
     if isinstance(nums, np.ndarray):
-        bound = growth * int(abs(nums).max())
+        # not abs(nums), which wraps at -2**63
+        bound = growth * max(int(nums.max()), -int(nums.min()))
     else:
         bound = growth * max(map(abs, chain.from_iterable(nums)))
     return np.asarray(nums, dtype=np.int64 if bound < 1 << 62 else object)

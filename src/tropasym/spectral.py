@@ -9,6 +9,7 @@ connected component of the critical graph generate the eigenspace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -148,6 +149,52 @@ def _normalized_closure(W):
             placed.update(cls)
             classes.append(cls)
     return p, q, T, nodes, classes
+
+
+def _batch_chains(W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Karp's lambda, the critical nodes and the translation-chain flag of
+    every matrix in the stack W (m, n, n) of max-plus numerators, n >= 2, an
+    array or nested sequences.
+
+    Each step is one broadcast over the stack.  lambda = p / q has q <= n, so
+    with L = lcm(1..n) Karp's ratios and Abar = W - lambda are integers once
+    scaled by L.  The critical nodes come off the plus-closure T of Abar L as
+    in `_normalized_closure`.  Pinned to row 0, T's columns at critical nodes
+    are the generators: two nodes of one class (T_uv + T_vu = 0) have columns
+    that differ by the constant T_uv, so each node can stand for its class.
+    The flag is `len(gens) >= 2 and translation_chain(gens) is not None` for
+    spectral data's deduplicated generators: some critical column differs
+    from the first one's, and every one differs from it on rows 1..n-1 by a
+    constant.  The magnitudes stay within 4nL max|W|, the growth passed to
+    `_int_array`.
+
+    Returns lambda L (m,), the critical nodes as a mask (m, n) and the flags
+    (m,).
+    """
+    W = np.asarray(W)
+    n = W.shape[1]
+    L = math.lcm(*range(1, n + 1))
+    W = _int_array(W, 4 * n * L)
+    D = np.empty_like(W)  # D[:, k - 1, v]: the best walk of k edges from node 0 to v
+    D[:, 0] = W[:, 0]
+    for k in range(1, n):
+        D[:, k] = (D[:, k - 1, :, None] + W).max(axis=1)
+    Dn = D[:, -1]
+    scale = np.array([L // (n - k) for k in range(1, n)])[:, None]
+    # per node v, the min over k of (D_n[v] - D_k[v]) L / (n - k); k = 0 reaches node 0 only
+    means = ((Dn[:, None] - D[:, :-1]) * scale).min(axis=1)
+    means[:, 0] = np.minimum(means[:, 0], Dn[:, 0] * (L // n))
+    lam = means.max(axis=1)
+    T = W * L - lam[:, None, None]
+    for k in range(n):
+        np.maximum(T, T[:, :, k, None] + T[:, None, k], out=T)
+    critical = np.diagonal(T, axis1=1, axis2=2) == 0
+    # column u minus the first critical node's column, row by row
+    diff = T - np.take_along_axis(T, critical.argmax(axis=1)[:, None, None], axis=2)
+    translate = (diff[:, 2:] == diff[:, 1:2]).all(axis=1)
+    distinct = diff[:, 1] != diff[:, 0]
+    chain = (translate | ~critical).all(axis=1) & (critical & distinct).any(axis=1)
+    return lam, critical, chain
 
 
 def max_cycle_mean(A: TropicalMatrix) -> Fraction:

@@ -442,19 +442,78 @@ class TestConjecturesCommand:
         assert (code, err) == (0, "")
 
     def test_attempt_budget_ends_the_campaign(self, tmp_path, monkeypatch, capsys):
-        import tropasym.cli
+        import random
 
-        # 200 draws hold fewer than 20 chains: a short campaign writes nothing
-        monkeypatch.setattr(tropasym.cli, "_MAX_ATTEMPTS", 200)
+        import tropasym.cli
+        from tropasym.conjectures import random_matrix, translation_chain
+
+        # neither budget holds 20 chains: a short campaign writes nothing.  37
+        # is no multiple of the chain block, whose draws still count one by
+        # one, as in this loop
         ds = tmp_path / "g.jsonl"
-        code, out, err = run(
-            ["conjectures", "--seed", "42", "--chains", "20", "--families", "1",
-             "--doublings", "6", "--dataset", str(ds)],
-            capsys,
+        for budget in (200, 37):
+            rng = random.Random(42)
+            found = 0
+            for _ in range(budget):
+                gens = spectral_data(random_matrix(3, seed=rng)).generators
+                found += len(gens) >= 2 and translation_chain(gens) is not None
+            monkeypatch.setattr(tropasym.cli, "_MAX_ATTEMPTS", budget)
+            code, out, err = run(
+                ["conjectures", "--seed", "42", "--chains", "20", "--families", "1",
+                 "--doublings", "6", "--dataset", str(ds)],
+                capsys,
+            )
+            assert (code, out) == (1, "")
+            assert err == f"error: {budget} draws found {found} of 20 chains and 0 of 1 families\n"
+            assert not ds.exists()
+        assert found > 0
+
+    def test_chain_blocks_keep_the_draw_stream(self, tmp_path, monkeypatch, capsys):
+        import random
+
+        import tropasym.cli
+        from tropasym.conjectures import (
+            eigenspace_preserving_perturbations,
+            random_matrix,
+            translation_chain,
         )
-        assert (code, out) == (1, "")
-        assert err == "error: 200 draws found 6 of 20 chains and 0 of 1 families\n"
-        assert not ds.exists()
+
+        # the draws the campaign below needs, made one at a time
+        rng = random.Random(5)
+        draws = chains = families = 0
+        while chains < 3:
+            draws += 1
+            gens = spectral_data(random_matrix(3, seed=rng)).generators
+            chains += len(gens) >= 2 and translation_chain(gens) is not None
+        while families < 2:
+            draws += 1
+            A = random_matrix(3, seed=rng)
+            perts = eigenspace_preserving_perturbations(A, count=2, seed=rng.randrange(2**32))
+            families += len(perts) == 2
+
+        # a block of 1 is the draw-by-draw campaign.  A campaign that finds its
+        # last chain in mid-block rewinds the stream, so the families draw what
+        # they drew, and it counts only the draws it tested, so a budget of
+        # one draw fewer misses the last family
+        args = [
+            "conjectures", "--seed", "5", "--chains", "3", "--families", "2",
+            "--perturbations", "2", "--doublings", "6",
+        ]
+        ds = tmp_path / "g.jsonl"
+        outputs = set()
+        for block in (1, 7, tropasym.cli._CHAIN_BLOCK):
+            monkeypatch.setattr(tropasym.cli, "_CHAIN_BLOCK", block)
+            monkeypatch.setattr(tropasym.cli, "_MAX_ATTEMPTS", draws)
+            code, out, _ = run(args + ["--dataset", str(ds)], capsys)
+            assert code == 0, block
+            outputs.add((out, ds.read_bytes()))
+            ds.unlink()
+            monkeypatch.setattr(tropasym.cli, "_MAX_ATTEMPTS", draws - 1)
+            code, _, err = run(args + ["--dataset", str(ds)], capsys)
+            assert (code, err) == (
+                1, f"error: {draws - 1} draws found 3 of 3 chains and 1 of 2 families\n"
+            ), block
+        assert len(outputs) == 1
 
     def test_zero_counts(self, tmp_path, monkeypatch, capsys):
         import tropasym.cli
@@ -465,6 +524,7 @@ class TestConjecturesCommand:
         # a campaign that tests nothing, or a family without perturbations,
         # is an input error that writes no report and no dataset
         monkeypatch.setattr(tropasym.cli.conj, "random_matrix", no_draw)
+        monkeypatch.setattr(tropasym.cli.conj, "_draw_nums", no_draw)
         monkeypatch.chdir(tmp_path)  # default dataset file would land here
         for counts in (
             ["--chains", "0", "--families", "0"],

@@ -8,6 +8,7 @@ once while its record is cached.
 """
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from tropasym import (
     spectral_data,
 )
 from tropasym import core, schur, spectral
+from tropasym.conjectures import _draw_nums
 from tropasym.core import _int_array
 
 from _oracles import (
@@ -38,6 +40,7 @@ from _oracles import (
     minplus_schur_oracle,
     schur_sequence_oracle,
     spectral_data_oracle,
+    translation_chain_oracle,
 )
 
 SIZES = range(1, 41)
@@ -134,6 +137,90 @@ def test_list_kernels_match_oracles_and_arrays(grid, monkeypatch):
                         assert on_path(monkeypatch, path, max_cycle_mean, X) == want.lam, (n, path)
 
 
+def batch_matches_oracles(stack, den):
+    """`spectral._batch_chains` on a stack of numerators over den: lambda,
+    critical nodes and chain flag of each matrix equal the oracles'.
+    Returns the flags."""
+    n = len(stack[0])
+    L = math.lcm(*range(1, n + 1))
+    lam, critical, chain = spectral._batch_chains(stack)
+    for nums, lam_L, nodes, flag in zip(stack, lam, critical, chain):
+        want = spectral_data_oracle(TropicalMatrix(nums, den))
+        gens = want.generators
+        assert Fraction(int(lam_L), L * den) == want.lam, nums
+        assert frozenset(np.flatnonzero(nodes).tolist()) == want.critical_nodes, nums
+        assert flag == (len(gens) >= 2 and translation_chain_oracle(gens) is not None), nums
+    return chain
+
+
+def common_den(mats):
+    """The matrices' numerators over their common denominator, and that denominator."""
+    den = math.lcm(*(A.den for A in mats))
+    return [tuple(tuple(x * (den // A.den) for x in row) for row in A.nums) for A in mats], den
+
+
+def two_class_matrix(n, grid, rng):
+    """Zero diagonal, zero edges among nodes 1..n-1 and negative grid edges
+    to and from node 0, so {0} and {1, ..., n-1} are the critical classes and
+    their generators a translation chain; half of them get their nodes
+    permuted, which for n >= 3 breaks the chain whenever node 0 moves."""
+    step = Fraction(grid)
+    rows = [
+        [0 if i == j or min(i, j) > 0 else -step * rng.randint(1, 12) for j in range(n)]
+        for i in range(n)
+    ]
+    p = list(range(n))
+    if rng.random() < 0.5:
+        rng.shuffle(p)
+    return TropicalMatrix.from_rows([[rows[p[i]][p[j]] for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("grid", ["1", "1/2", "1/3"])
+def test_batch_chains_matches_oracles(grid):
+    """Zero-diagonal grid draws as the campaign makes them, planted two-class
+    matrices, and rational matrices with any diagonal, at n = 2..8."""
+    rng = random.Random(11)
+    counts = {}
+    for n in range(2, 9):
+        flags = [
+            *batch_matches_oracles(*_draw_nums(n, 300 if n == 3 else 40, rng, grid)),
+            *batch_matches_oracles(*common_den([two_class_matrix(n, grid, rng) for _ in range(12)])),
+            *batch_matches_oracles(*common_den([rational_matrix(n, rng) for _ in range(15)])),
+        ]
+        counts[n] = sum(flags), len(flags)
+    assert all(0 < chains < total for chains, total in counts.values()), counts  # both flags seen
+
+
+# chains with lambda = 0 and critical classes {0} and {1, 2, 3}, the second
+# held together by a zero 3-cycle and no loop
+LOOPLESS_CLASS = [
+    ((0, -5, -5, -2), (-1, -3, 0, -3), (-6, -1, -2, 0), (-5, 0, -4, -6)),
+    ((0, -4, -4, -5), (-6, -3, 0, -4), (-4, -4, -4, 0), (-2, 0, -2, -3)),
+    ((0, -1, -1, -5), (-2, -6, 0, -6), (-3, -3, -1, 0), (-2, 0, -3, -3)),
+]
+
+
+def test_batch_chains_special_stacks():
+    assert batch_matches_oracles(LOOPLESS_CLASS, 1).all()
+    stack, den = _draw_nums(5, 40, random.Random(12), "1/2")
+    flags = batch_matches_oracles(stack, den)
+    # past the int64 guard the stack runs on Python ints, with the same flags
+    shifted = [tuple(tuple(x + 2**70 * den for x in row) for row in nums) for nums in stack]
+    assert spectral._batch_chains(shifted)[0].dtype == object
+    assert (batch_matches_oracles(shifted, den) == flags).all()
+    # numerators just inside the guard's bound 4nL max|W| < 2^62 (n = 4, L = 12)
+    # and past it, where int64 sums would wrap
+    rng = random.Random(13)
+    bound = (1 << 62) // (4 * 4 * 12)
+    for M, dtype in ((bound - 1, np.int64), (4 * bound, object)):
+        near = [tuple(tuple(rng.randint(-M, M) for _ in range(4)) for _ in range(4)) for _ in range(20)]
+        assert spectral._batch_chains(near)[0].dtype == dtype
+        batch_matches_oracles(near, 1)
+    # a stack of one matrix
+    for nums, d in ((LOOPLESS_CLASS[0], 1), (stack[0], den), (shifted[1], den)):
+        batch_matches_oracles([nums], d)
+
+
 def test_minplus_schur_matches_oracle():
     rng = random.Random(4)
     diverged = 0
@@ -175,6 +262,7 @@ def test_int64_guard_both_sides(monkeypatch):
     assert 2**60 < 4 * n * n * magnitude(below) < 2**62 <= magnitude(above)
     assert _int_array(below.nums, 4 * n * n).dtype == np.int64
     assert _int_array(above.nums, 1).dtype == object
+    assert _int_array(np.array([[-(2**63), 0]]), 1).dtype == object  # abs would wrap here
     for A in (below, above, offset):
         for X in (A, normalized(A)):
             assert outcome(kleene_star, X) == outcome(kleene_star_oracle, X)
