@@ -20,6 +20,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import conjectures as conj
 from . import figures as figs
 from .core import TropicalMatrix
@@ -170,18 +172,19 @@ def cmd_conjectures(args) -> int:
         state = rng.getstate()
         block, den = conj._draw_nums(3, min(_CHAIN_BLOCK, _MAX_ATTEMPTS - attempts), rng)
         _, _, flagged = _batch_chains(block)
-        for used, (nums, flag) in enumerate(zip(block, flagged), 1):
-            attempts += 1
-            if not flag:
-                continue
-            A = TropicalMatrix(nums, den)
+        used = len(block)
+        for idx in np.flatnonzero(flagged).tolist():
+            # Python ints, since spectral_data's cache hashes the matrix
+            A = TropicalMatrix(tuple(map(tuple, block[idx].tolist())), den)
             gens = spectral_data(A).generators  # a flag alone never admits a chain
             if len(gens) < 2 or conj.translation_chain(gens) is None:
                 continue
             chains.append(A)
             c1_verdicts.append(conj.conjecture1_test(A, tol=_MATCH_TOL, schedule=schedule))
             if len(chains) == args.chains:
+                used = idx + 1
                 break
+        attempts += used
         if used < len(block):
             # the family loop continues the stream after the last chain drawn
             rng.setstate(state)

@@ -9,6 +9,7 @@ a failing verdict is a result, carrying its witness for replay.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -18,11 +19,14 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     MAX_PLUS,
     ProjectivePoint,
     TropicalMatrix,
     _common_nums,
+    _int_dtype,
     as_rational,
     span_distance,
 )
@@ -34,8 +38,9 @@ from .perron import (
 )
 from .spectral import (
     SpectralData,
+    _batch_same_eigenspace,
+    _require_max_plus,
     _same_span,
-    max_cycle_mean,
     spectral_data,
 )
 
@@ -43,6 +48,8 @@ from .spectral import (
 # _PERTURBATION_STEP, at most _PERTURBATION_MAGNITUDE in size
 _PERTURBATION_STEP = Fraction(1, 2)
 _PERTURBATION_MAGNITUDE = 2
+# the largest multiple of the step
+_MAX_STEP = int(_PERTURBATION_MAGNITUDE / _PERTURBATION_STEP)
 
 # candidates eigenspace_preserving_perturbations draws per requested member
 _ATTEMPTS_PER_MEMBER = 400
@@ -156,40 +163,77 @@ def eigenspace_preserving_perturbations(
     Returns fewer than `count` matrices when its _ATTEMPTS_PER_MEMBER * count
     draws run out or every candidate has been tried; callers read the
     length, since many matrices have no such perturbation.
+
+    A and every candidate, as numerators over one denominator, are screened
+    by one `_batch_same_eigenspace` call before the first draw, and a
+    matrix is built only for the candidates drawn that passed.
     """
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"count must be an int, got {count!r}")
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = random.Random(seed)
-    steps = int(_PERTURBATION_MAGNITUDE / _PERTURBATION_STEP)
-    sd0 = spectral_data(A)
+    _require_max_plus(A, "eigenspace_preserving_perturbations")
     # A's numerators over den, on which the step is the numerator `unit`
     den = math.lcm(A.den, _PERTURBATION_STEP.denominator)
     unit = _PERTURBATION_STEP.numerator * (den // _PERTURBATION_STEP.denominator)
     base = tuple(tuple(x * (den // A.den) for x in row) for row in A.nums)
+    moves, at, steps = _candidate_moves(A.n)
+    passed: set[tuple[int, int, int]] = set()
+    if moves:
+        bound = max(map(abs, itertools.chain.from_iterable(base))) + _MAX_STEP * unit
+        W = np.repeat(np.array(base, dtype=_int_dtype(bound))[None], len(moves) + 1, axis=0)
+        W[at] += steps.astype(W.dtype) * unit
+        passed = set(itertools.compress(moves, _batch_same_eigenspace(W)[1:].tolist()))
     accepted: list[TropicalMatrix] = []
+    for move in _perturbation_draws(A.n, random.Random(seed), _ATTEMPTS_PER_MEMBER * count):
+        if move in passed:
+            i, j, step = move
+            row = list(base[i])
+            row[j] += unit * step
+            nums = base[:i] + (tuple(row),) + base[i + 1 :]
+            accepted.append(TropicalMatrix(nums, den, A.semiring))
+            if len(accepted) == count:
+                break
+    return accepted
+
+
+def _perturbation_draws(n: int, rng: random.Random, budget: int):
+    """The sampler's candidates (i, j, step) in draw order: among `budget`
+    draws of an entry and a step, those not drawn before, until every
+    candidate has been drawn."""
     # distinct (entry, delta) draws give distinct matrices; once every one of
     # them has been tried, further draws cannot add a member
-    candidates = A.n * (A.n - 1) * 2 * steps
+    candidates = n * (n - 1) * 2 * _MAX_STEP
     tried: set[tuple[int, int, int]] = set()
-    for _ in range(_ATTEMPTS_PER_MEMBER * count):
-        if len(accepted) >= count or len(tried) == candidates:
-            break
-        i = rng.randrange(A.n)
-        j = rng.randrange(A.n)
+    for _ in range(budget):
+        if len(tried) == candidates:
+            return
+        i = rng.randrange(n)
+        j = rng.randrange(n)
         if i == j:
             continue
-        step = rng.randint(-steps, steps)
+        step = rng.randint(-_MAX_STEP, _MAX_STEP)
         if step == 0 or (i, j, step) in tried:
             continue
         tried.add((i, j, step))
-        row = list(base[i])
-        row[j] += unit * step
-        B = TropicalMatrix(base[:i] + (tuple(row),) + base[i + 1 :], den, A.semiring)
-        if max_cycle_mean(B) != sd0.lam:
-            continue
-        if _same_span(sd0.generators, spectral_data(B).generators):
-            accepted.append(B)
-    return accepted
+        yield i, j, step
+
+
+@lru_cache(maxsize=8)
+def _candidate_moves(n: int):
+    """Every candidate (i, j, step) of an n x n matrix, row by row; the index
+    of its changed entry in a stack that holds the base matrix first; and
+    its steps as an array."""
+    moves = [
+        (i, j, step)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        for step in range(-_MAX_STEP, _MAX_STEP + 1)
+        if step
+    ]
+    i, j, step = np.array(moves, dtype=np.intp).reshape(-1, 3).T
+    return tuple(moves), (np.arange(1, len(moves) + 1), i, j), step
 
 
 def conjecture2_test(
@@ -199,6 +243,8 @@ def conjecture2_test(
     schedule: Sequence[float],
 ) -> ConjectureVerdict:
     """All members of an equal-eigenspace family must share one limit."""
+    if not perturbed:
+        raise ValueError("need at least one perturbed matrix to compare with A")
     family = [A, *perturbed]
     spectra = tuple(spectral_data(M) for M in family)
     gens = [sd.generators for sd in spectra]
@@ -243,25 +289,26 @@ def random_matrix(
         raise ValueError("n must be at least 2")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     [nums], den = _draw_nums(n, 1, rng, grid_step, entry_range)
-    return TropicalMatrix(nums, den, MAX_PLUS)
+    return TropicalMatrix(tuple(map(tuple, nums.tolist())), den, MAX_PLUS)
 
 
 def _draw_nums(
     n: int, m: int, rng: random.Random, grid_step=1, entry_range=(-6, 2)
-) -> tuple[list[tuple[tuple[int, ...], ...]], int]:
+) -> tuple[np.ndarray, int]:
     """The numerators of m successive `random_matrix(n, grid_step,
-    entry_range, seed=rng)` draws, and their common denominator (before
+    entry_range, seed=rng)` draws as an (m, n, n) integer array (dtype
+    object when they leave int64), and their common denominator (before
     TropicalMatrix reduces them to lowest terms).  The one definition of
     random_matrix's draw stream: off-diagonal entries row by row, one
     randrange each."""
     cells, den, base, step = _grid(grid_step, entry_range[0], entry_range[1])
     # randrange(cells + 1) draws what randint(0, cells) draws, one call fewer
     r, top = rng.randrange, cells + 1
-    draws = [
-        tuple(tuple(0 if i == j else base + step * r(top) for j in range(n)) for i in range(n))
-        for _ in range(m)
-    ]
-    return draws, den
+    dtype = _int_dtype(max(abs(base), abs(base + step * cells)))
+    draws = np.array([r(top) for _ in range(m * n * (n - 1))], dtype)
+    W = np.zeros((m, n, n), dtype)
+    W[:, ~np.eye(n, dtype=bool)] = (base + step * draws).reshape(m, n * (n - 1))
+    return W, den
 
 
 @lru_cache(maxsize=8, typed=True)

@@ -190,7 +190,13 @@ def _int_array(nums: Sequence[Sequence[int]] | np.ndarray, growth: int) -> np.nd
         bound = growth * max(int(nums.max()), -int(nums.min()))
     else:
         bound = growth * max(map(abs, chain.from_iterable(nums)))
-    return np.asarray(nums, dtype=np.int64 if bound < 1 << 62 else object)
+    return np.asarray(nums, dtype=_int_dtype(bound))
+
+
+def _int_dtype(bound: int):
+    """The exact integer dtype for values of magnitude at most `bound`:
+    int64 below 2**62, Python ints (dtype object) from there on."""
+    return np.int64 if bound < 1 << 62 else object
 
 
 def _star(W: np.ndarray, kind: str, pivots: Sequence[int] | None = None) -> np.ndarray:

@@ -151,25 +151,22 @@ def _normalized_closure(W):
     return p, q, T, nodes, classes
 
 
-def _batch_chains(W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Karp's lambda, the critical nodes and the translation-chain flag of
-    every matrix in the stack W (m, n, n) of max-plus numerators, n >= 2, an
-    array or nested sequences.
+def _batch_closure(W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Karp's lambda, the lambda-normalized plus-closure and the critical
+    nodes of every matrix in the stack W (m, n, n) of max-plus numerators,
+    n >= 2, an array or nested sequences.
 
     Each step is one broadcast over the stack.  lambda = p / q has q <= n, so
     with L = lcm(1..n) Karp's ratios and Abar = W - lambda are integers once
-    scaled by L.  The critical nodes come off the plus-closure T of Abar L as
-    in `_normalized_closure`.  Pinned to row 0, T's columns at critical nodes
-    are the generators: two nodes of one class (T_uv + T_vu = 0) have columns
-    that differ by the constant T_uv, so each node can stand for its class.
-    The flag is `len(gens) >= 2 and translation_chain(gens) is not None` for
-    spectral data's deduplicated generators: some critical column differs
-    from the first one's, and every one differs from it on rows 1..n-1 by a
-    constant.  The magnitudes stay within 4nL max|W|, the growth passed to
-    `_int_array`.
+    scaled by L.  T is the plus-closure of Abar L, so the critical nodes
+    (T_ii = 0) and classes come off it as in `_normalized_closure`, and
+    pinned to row 0, its columns at critical nodes are the eigenspace's
+    generators: two nodes of one class (T_uv + T_vu = 0) have columns that
+    differ by the constant T_uv, so each node can stand for its class.  The
+    magnitudes stay within 4nL max|W|, the growth passed to `_int_array`.
 
-    Returns lambda L (m,), the critical nodes as a mask (m, n) and the flags
-    (m,).
+    Returns lambda L (m,), T (m, n, n) and the critical nodes as a mask
+    (m, n).
     """
     W = np.asarray(W)
     n = W.shape[1]
@@ -188,13 +185,48 @@ def _batch_chains(W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     T = W * L - lam[:, None, None]
     for k in range(n):
         np.maximum(T, T[:, :, k, None] + T[:, None, k], out=T)
-    critical = np.diagonal(T, axis1=1, axis2=2) == 0
+    return lam, T, np.diagonal(T, axis1=1, axis2=2) == 0
+
+
+def _batch_chains(W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Karp's lambda, the critical nodes and the translation-chain flag of
+    every matrix in the stack W, as `_batch_closure` takes it.
+
+    The flag is `len(gens) >= 2 and translation_chain(gens) is not None` for
+    spectral data's deduplicated generators: some critical column differs
+    from the first one's, and every one differs from it on rows 1..n-1 by a
+    constant.
+
+    Returns lambda L (m,), the critical nodes as a mask (m, n) and the flags
+    (m,).
+    """
+    lam, T, critical = _batch_closure(W)
     # column u minus the first critical node's column, row by row
     diff = T - np.take_along_axis(T, critical.argmax(axis=1)[:, None, None], axis=2)
     translate = (diff[:, 2:] == diff[:, 1:2]).all(axis=1)
     distinct = diff[:, 1] != diff[:, 0]
     chain = (translate | ~critical).all(axis=1) & (critical & distinct).any(axis=1)
     return lam, critical, chain
+
+
+def _batch_same_eigenspace(W) -> np.ndarray:
+    """Whether each matrix in the stack W, as `_batch_closure` takes it, has
+    the eigenvalue and the eigenspace of W[0].
+
+    A finitely generated max-plus cone has one minimal generating set up to
+    scaling, and for a matrix with finite entries that is its critical
+    columns, one per class (Butkovic, Max-linear Systems, 2010).  So two
+    eigenspaces are equal iff the sets of their critical columns, pinned to
+    row 0, are equal.  Returns a mask (m,), True at 0.
+    """
+    lam, T, critical = _batch_closure(W)
+    cols = T - T[:, :1]
+    # same[b, u, v]: critical column u of matrix b equals critical column v of W[0]
+    same = (cols[:, :, :, None] == cols[0, :, None, :]).all(axis=1)
+    same &= critical[:, :, None] & critical[0]
+    inside = (same.any(axis=2) | ~critical).all(axis=1)  # b's generators are W[0]'s
+    covers = (same.any(axis=1) | ~critical[0]).all(axis=1)  # and W[0]'s are b's
+    return (lam == lam[0]) & inside & covers
 
 
 def max_cycle_mean(A: TropicalMatrix) -> Fraction:

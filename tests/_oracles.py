@@ -23,8 +23,9 @@ and candidate exponents composed from them with Fraction arithmetic.  Of the
 library's kernel code they share only `StarDivergenceError`, so the
 divergence message and witness cycle come from the same walk on both sides.
 The point oracles are the library's earlier span membership and translation
-chain tests on the Fraction coordinates of points, and the perturbation
-candidate oracle re-encodes each candidate's Fraction rows with from_rows.
+chain tests on the Fraction coordinates of points, the perturbation
+candidate oracle re-encodes each candidate's Fraction rows with from_rows,
+and the perturbation sampler oracle tests those candidates one at a time.
 
 Besides the oracles, hadamard_lemma_check is a property check of the
 library's own spectral data under entrywise scaling, and row_coupling_mass
@@ -469,15 +470,19 @@ def random_matrix_rows(n: int, grid_step, entry_range, seed: int) -> TropicalMat
     return TropicalMatrix.from_rows(rows, MAX_PLUS)
 
 
-def perturbation_candidates_oracle(A: TropicalMatrix, seed: int):
+def perturbation_candidates_oracle(A: TropicalMatrix, seed: int, draws: int | None = None):
     """eigenspace_preserving_perturbations' candidates in draw order, each
     built by adding its multiple of 1/2 to one Fraction entry of A and
-    re-encoding the rows; stops once every candidate has been drawn."""
+    re-encoding the rows; stops once every candidate has been drawn, or
+    after `draws` draws when that is given."""
     rng = random.Random(seed)
     steps = 4
     candidates = A.n * (A.n - 1) * 2 * steps
     tried = set()
-    while len(tried) < candidates:
+    budget = itertools.count() if draws is None else range(draws)
+    for _ in budget:
+        if len(tried) == candidates:
+            return
         i = rng.randrange(A.n)
         j = rng.randrange(A.n)
         if i == j:
@@ -489,6 +494,22 @@ def perturbation_candidates_oracle(A: TropicalMatrix, seed: int):
         rows = [list(r) for r in A.entries]
         rows[i][j] = rows[i][j] + Fraction(1, 2) * step
         yield TropicalMatrix.from_rows(rows, A.semiring)
+
+
+def perturbations_oracle(A: TropicalMatrix, count: int, seed: int) -> list[TropicalMatrix]:
+    """eigenspace_preserving_perturbations one candidate at a time: within
+    the sampler's budget of 400 draws per member, each candidate of
+    perturbation_candidates_oracle whose spectral_data_oracle has A's
+    eigenvalue and, by same_span_oracle, A's eigenspace."""
+    sd = spectral_data_oracle(A)
+    accepted = []
+    for B in perturbation_candidates_oracle(A, seed, draws=400 * count):
+        sdb = spectral_data_oracle(B)
+        if sdb.lam == sd.lam and same_span_oracle(sd.generators, sdb.generators):
+            accepted.append(B)
+            if len(accepted) == count:
+                break
+    return accepted
 
 
 def in_span_oracle(x: ProjectivePoint, gens) -> bool:

@@ -1,5 +1,5 @@
-import itertools
 import json
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -29,6 +29,7 @@ from tropasym import conjectures
 
 from _oracles import (
     perturbation_candidates_oracle,
+    perturbations_oracle,
     random_matrix_rows,
     translation_chain_oracle,
 )
@@ -48,12 +49,8 @@ def pp(*vals):
     return normalize_projective(vals)
 
 
-def recording(built):
-    """max_cycle_mean that also records each matrix it is given."""
-    def wrapped(B):
-        built.append(B)
-        return max_cycle_mean(B)
-    return wrapped
+def numerators(M):
+    return M.den, M.nums
 
 
 class TestTranslationChain:
@@ -178,7 +175,8 @@ class TestPerturbations:
             assert len(set(perts)) == len(perts)
 
     def test_count_must_be_positive(self):
-        for count in (0, -1):
+        # and an int: True is no count of 1, and 2.5 no count at all
+        for count in (0, -1, True, 2.5, "3", None):
             with pytest.raises(ValueError, match="count"):
                 eigenspace_preserving_perturbations(FIG8, count=count, seed=5)
 
@@ -198,24 +196,66 @@ class TestPerturbations:
     def test_stops_once_every_candidate_was_tried(self, monkeypatch):
         # FIG3 has no eigenspace-preserving perturbation of magnitude 2: its
         # 6 off-diagonal entries x 8 nonzero deltas give 48 candidates, so
-        # more than 48 matrices built means draws after the last candidate
-        built = []
-        monkeypatch.setattr(conjectures, "max_cycle_mean", recording(built))
+        # more than 48 candidates drawn means draws after the last candidate,
+        # and so does a random state that moved after the last one
+        drawn, states = [], []
+        draws = conjectures._perturbation_draws
+
+        def recording(n, rng, budget):
+            for move in draws(n, rng, budget):
+                drawn.append(move)
+                states.append(rng.getstate())
+                yield move
+            states.append(rng.getstate())
+
+        monkeypatch.setattr(conjectures, "_perturbation_draws", recording)
         got = eigenspace_preserving_perturbations(FIG3, count=3, seed=1)
         assert got == []
-        assert 0 < len(built) <= 48
+        assert 0 < len(drawn) <= 48
+        assert states[-1] == states[-2]
 
     @pytest.mark.parametrize("A", [FIG8, FIG3, random_matrix(3, grid_step="1/3", seed=4)])
     def test_candidates_equal_the_rational_construction(self, A, monkeypatch):
         # each candidate is one changed integer numerator over lcm(den, 2); the
-        # 1/3-grid matrix goes from denominator 3 to 6
-        built = []
-        monkeypatch.setattr(conjectures, "max_cycle_mean", recording(built))
+        # 1/3-grid matrix goes from denominator 3 to 6.  The screen gets A and
+        # every candidate, which the oracle draws in full
+        den = math.lcm(A.den, 2)
+        stacks = []
+        screen = conjectures._batch_same_eigenspace
+
+        def recording(W):
+            stacks.append(W)
+            return screen(W)
+
+        monkeypatch.setattr(conjectures, "_batch_same_eigenspace", recording)
         for seed in range(5):
-            built.clear()
+            stacks.clear()
             eigenspace_preserving_perturbations(A, count=3, seed=seed)
-            want = list(itertools.islice(perturbation_candidates_oracle(A, seed), len(built)))
-            assert built and built == want
+            [W] = stacks
+            base, *built = (TropicalMatrix(tuple(map(tuple, M)), den) for M in W.tolist())
+            want = list(perturbation_candidates_oracle(A, seed))
+            assert base == A
+            assert built and sorted(built, key=numerators) == sorted(want, key=numerators)
+
+    def test_members_equal_the_one_at_a_time_oracle(self):
+        rng = random.Random(23)
+        members = 0
+        for trial in range(60):
+            n = 2 + trial % 3
+            A = random_matrix(n, grid_step=("1", "1/2", "1/3")[trial % 3], seed=rng)
+            for count in (1, 3):
+                seed = rng.randrange(2**32)
+                got = eigenspace_preserving_perturbations(A, count=count, seed=seed)
+                assert got == perturbations_oracle(A, count, seed), (A, count, seed)
+                members += len(got)
+        assert members > 0
+
+    def test_one_node_has_no_candidates(self, monkeypatch):
+        def no_screen(W):
+            raise AssertionError("a 1 x 1 matrix has no candidate to screen")
+
+        monkeypatch.setattr(conjectures, "_batch_same_eigenspace", no_screen)
+        assert eigenspace_preserving_perturbations(TropicalMatrix(((3,),), 2), 3, seed=0) == []
 
     def test_eigenspace_equality_is_transitive_on_chains(self):
         # A ~ B and B ~ C constructed by successive accepted perturbations
@@ -243,6 +283,11 @@ class TestConjecture2:
         assert v.estimates[0] == estimate_p_infinity(
             normalized_trajectory(FIG8.to_floats(), SCHEDULE)
         )
+
+    def test_empty_family_is_rejected(self):
+        # a family of A alone compares nothing, so it has no verdict
+        with pytest.raises(ValueError, match="perturbed"):
+            conjecture2_test(FIG8, [], tol=1e-2, schedule=SCHEDULE)
 
     def test_self_family_trivially_holds(self):
         v = conjecture2_test(FIG7, [FIG7], tol=1e-12, schedule=SCHEDULE)
@@ -309,6 +354,9 @@ class TestRandomMatrix:
             (F(1, 2), (-6, 2)),
             (F(1, 3), (-6, 2)),
             (F(1, 2), (F(-5, 3), F(7, 4))),
+            # numerators past int64: the draws go through Python ints
+            (1, (-2**70, 2**70)),
+            (F(1, 3), (-2**62, 5)),
         ],
     )
     def test_matches_fraction_rows(self, grid_step, entry_range):

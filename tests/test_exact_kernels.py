@@ -22,6 +22,7 @@ from tropasym import (
     StarDivergenceError,
     TropicalMatrix,
     candidate_exponents,
+    eigenspace_preserving_perturbations,
     kleene_star,
     max_cycle_mean,
     minplus_schur,
@@ -29,7 +30,7 @@ from tropasym import (
     schur_sequence,
     spectral_data,
 )
-from tropasym import core, schur, spectral
+from tropasym import conjectures, core, schur, spectral
 from tropasym.conjectures import _draw_nums
 from tropasym.core import _int_array
 
@@ -205,7 +206,10 @@ def test_batch_chains_special_stacks():
     stack, den = _draw_nums(5, 40, random.Random(12), "1/2")
     flags = batch_matches_oracles(stack, den)
     # past the int64 guard the stack runs on Python ints, with the same flags
-    shifted = [tuple(tuple(x + 2**70 * den for x in row) for row in nums) for nums in stack]
+    # (.tolist(): an int64 array would overflow)
+    shifted = [
+        tuple(tuple(x + 2**70 * den for x in row) for row in nums) for nums in stack.tolist()
+    ]
     assert spectral._batch_chains(shifted)[0].dtype == object
     assert (batch_matches_oracles(shifted, den) == flags).all()
     # numerators just inside the guard's bound 4nL max|W| < 2^62 (n = 4, L = 12)
@@ -219,6 +223,80 @@ def test_batch_chains_special_stacks():
     # a stack of one matrix
     for nums, d in ((LOOPLESS_CLASS[0], 1), (stack[0], den), (shifted[1], den)):
         batch_matches_oracles([nums], d)
+
+
+def screened_stacks(monkeypatch):
+    """The stacks that eigenspace_preserving_perturbations screens, each with
+    the mask `spectral._batch_same_eigenspace` returned for it."""
+    seen = []
+    screen = spectral._batch_same_eigenspace
+
+    def recording(W):
+        mask = screen(W)
+        seen.append((W, mask))
+        return mask
+
+    monkeypatch.setattr(conjectures, "_batch_same_eigenspace", recording)
+    return seen
+
+
+def screen_matches_per_candidate_test(A, W, mask):
+    """The mask equals the sampler's former test of one candidate at a time,
+    and the stack holds A first.  Returns the candidates' outcomes, as
+    (same lambda, same eigenspace) pairs."""
+    den = math.lcm(A.den, 2)
+    sd = spectral_data(A)
+    base, *candidates = (TropicalMatrix(tuple(map(tuple, M)), den) for M in W.tolist())
+    assert base == A and mask[0]
+    outcomes = []
+    for B, passed in zip(candidates, mask[1:].tolist()):
+        same_lam = max_cycle_mean(B) == sd.lam
+        same = same_lam and spectral._same_span(sd.generators, spectral_data(B).generators)
+        assert passed == same, B
+        outcomes.append((same_lam, same))
+    return outcomes
+
+
+@pytest.mark.parametrize("grid", ["1", "1/2", "1/3"])
+def test_eigenspace_screen_matches_per_candidate_test(grid, monkeypatch):
+    """Every candidate of seeded zero-diagonal bases at n = 2..5: all three
+    outcomes occur (other lambda; same lambda, other eigenspace; pass)."""
+    seen = screened_stacks(monkeypatch)
+    rng = random.Random(21)
+    outcomes = []
+    for n in range(2, 6):
+        for _ in range(15):
+            A = random_matrix(n, grid_step=grid, seed=rng)
+            seen.clear()
+            eigenspace_preserving_perturbations(A, count=1, seed=0)
+            [(W, mask)] = seen
+            assert W.dtype == np.int64 and len(W) == 1 + n * (n - 1) * 8
+            outcomes += screen_matches_per_candidate_test(A, W, mask)
+    assert {(False, False), (True, False), (True, True)} <= set(outcomes)
+
+
+def test_eigenspace_screen_past_the_int64_guard(monkeypatch):
+    """A base shifted by 2^70 is screened on Python ints, with the shift's
+    mask: A + cJ has A's eigenspace and lambda + c."""
+    seen = screened_stacks(monkeypatch)
+    for seed in range(4):
+        A = random_matrix(4, grid_step="1/2", seed=seed)
+        for X in (A, A.shift(2**70)):
+            eigenspace_preserving_perturbations(X, count=1, seed=0)
+        [(W, mask), (W_big, mask_big)] = seen
+        assert (W.dtype, W_big.dtype) == (np.int64, object)
+        assert (mask_big == mask).all()
+        screen_matches_per_candidate_test(A.shift(2**70), W_big, mask_big)
+        seen.clear()
+
+
+def test_eigenspace_screen_compares_lambda():
+    """A + cJ has A's eigenspace but not its lambda.  (A candidate of the
+    sampler changes one row, so a shared eigenvector already forces equal
+    lambdas there.)"""
+    for seed in range(5):
+        W = np.array(random_matrix(4, seed=seed).nums)
+        assert spectral._batch_same_eigenspace([W, W + 2, W]).tolist() == [True, False, True]
 
 
 def test_minplus_schur_matches_oracle():
