@@ -161,12 +161,14 @@ def eigenspace_preserving_perturbations(
     set both match the original exactly.  A candidate drawn again is
     skipped, so the members are distinct.  Deterministic given the seed.
     Returns fewer than `count` matrices when its _ATTEMPTS_PER_MEMBER * count
-    draws run out or every candidate has been tried; callers read the
-    length, since many matrices have no such perturbation.
+    draws run out or fewer candidates pass; callers read the length, since
+    many matrices have no such perturbation.
 
     A and every candidate, as numerators over one denominator, are screened
     by one `_batch_same_eigenspace` call before the first draw, and a
-    matrix is built only for the candidates drawn that passed.
+    matrix is built only for the candidates drawn that passed.  The draws
+    stop once every candidate that passed is accepted, and are not made
+    when none passed.
     """
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValueError(f"count must be an int, got {count!r}")
@@ -185,6 +187,11 @@ def eigenspace_preserving_perturbations(
         W[at] += steps.astype(W.dtype) * unit
         passed = set(itertools.compress(moves, _batch_same_eigenspace(W)[1:].tolist()))
     accepted: list[TropicalMatrix] = []
+    # once every candidate that passed is accepted, no draw can add a member;
+    # the generator is the sampler's own, so stopping early moves nothing else
+    wanted = min(count, len(passed))
+    if not wanted:
+        return accepted
     for move in _perturbation_draws(A.n, random.Random(seed), _ATTEMPTS_PER_MEMBER * count):
         if move in passed:
             i, j, step = move
@@ -192,7 +199,7 @@ def eigenspace_preserving_perturbations(
             row[j] += unit * step
             nums = base[:i] + (tuple(row),) + base[i + 1 :]
             accepted.append(TropicalMatrix(nums, den, A.semiring))
-            if len(accepted) == count:
+            if len(accepted) == wanted:
                 break
     return accepted
 

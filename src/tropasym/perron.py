@@ -81,8 +81,10 @@ _HEADROOM = 9.0
 
 # below this n the accelerator's products use the row-blocked kernel, one per
 # round with the power step as an extra column: below it the GEMM's 2n^2
-# exponentials save nothing on numpy's per-call cost (time per product,
-# blocked over GEMM: x0.7 at n=3, x1.0 at 8, x2.0 at 16, x2.7 at 24)
+# exponentials save little on numpy's per-call cost (a round's products,
+# the fused one over GEMV plus GEMM, best of 7 on 2 cores: x0.4 at n=3, x0.7
+# at 8, x1.1 at 12, x1.7-1.8 at 16, x3.4-3.7 at 24).  Moving it would move
+# trajectories by rounding at the sizes between the old and the new cut-over
 _GEMM_MIN_N = 16
 
 # a row with a scaled GEMM entry below this goes back to the row-blocked
@@ -98,7 +100,8 @@ _LOG_MATMUL_ROWS = 16
 _LOG2 = math.log(2.0)
 
 # the ufunc reductions behind ndarray.max and ndarray.sum, called without the
-# methods' Python wrappers, which cost about 1 us of a 16 us lazy step at n=3
+# methods' Python wrappers, which cost about 0.5-0.8 us of a 9 us lazy step
+# at n=3
 _max = np.maximum.reduce
 _sum = np.add.reduce
 
@@ -108,9 +111,13 @@ class EstimateError(RuntimeError):
 
 
 def _lse_rows(B: np.ndarray) -> np.ndarray:
-    """logsumexp of each row of a matrix."""
-    m = _max(B, axis=1)
-    return m + np.log(_sum(np.exp(B - m[:, None]), axis=1))
+    """logsumexp of each row of a matrix, overwriting B."""
+    m = _max(B, 1)
+    B -= m[:, None]
+    s = _sum(np.exp(B, B), 1)
+    np.log(s, s)
+    s += m  # m + log(s): addition commutes, so these are its bits
+    return s
 
 
 def _log_matmul(B: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -189,31 +196,46 @@ def _log_matmul_blocked(B: np.ndarray, C: np.ndarray) -> np.ndarray:
     bit-identical to it, row by row, whatever rows are passed.
     """
     rows = _LOG_MATMUL_ROWS
-    if len(B) <= rows:  # one block: no buffer to reuse, no output to assemble
-        return _lse_middle(B[:, :, None] + C)
-    out = np.empty((len(B), C.shape[1]))
-    buf = np.empty((rows,) + C.shape)
+    T = np.empty((min(len(B), rows),) + C.shape)
+    m = np.empty((len(T), 1, C.shape[1]))
+    out = np.empty((len(B), 1, C.shape[1]))
     for r0 in range(0, len(B), rows):
-        Bb = B[r0 : r0 + rows]
-        T = np.add(Bb[:, :, None], C, out=buf[: len(Bb)])
-        out[r0 : r0 + rows] = _lse_middle(T)
-    return out
+        Bb = B[r0 : r0 + rows, :, None]
+        h = len(Bb)
+        _log_matmul_into(Bb, C, T[:h], m[:h], out[r0 : r0 + rows])
+    return out[:, 0]
 
 
-def _lse_middle(T: np.ndarray) -> np.ndarray:
-    """logsumexp over axis 1 of a (rows, l, j) tensor, overwriting T."""
-    m = _max(T, axis=1)
-    T -= m[:, None, :]
-    return m + np.log(_sum(np.exp(T, out=T), axis=1))
+def _log_matmul_into(
+    B: np.ndarray, C: np.ndarray, T: np.ndarray, m: np.ndarray, out: np.ndarray
+) -> None:
+    """One block of _log_matmul_blocked: out_i0j = logsumexp_l(B_il0 + C_lj).
+
+    B is a (rows, l, 1) view of the block's rows, T a (rows, l, j) work
+    buffer, and m and out are (rows, 1, j).  It allocates nothing, and its
+    ufuncs take their arguments by position, which numpy parses faster than
+    keywords: below _GEMM_MIN_N the accelerator squares one block per round,
+    so numpy's per-call cost is most of a round's.
+    """
+    np.add(B, C, T)
+    _max(T, 1, None, m, True)  # axis 1 into m, keeping the dimension
+    np.subtract(T, m, T)
+    _sum(np.exp(T, T), 1, None, out, True)
+    np.log(out, out)
+    np.add(out, m, out)  # m + log(sum), as in _lse_rows
 
 
 def _lazy_step(kA: np.ndarray, y: np.ndarray, k: float):
     """One averaged step from y: the next point, u_1 and the residual of y."""
     u = _lse_rows(kA + y)
-    u0 = float(u[0])
-    res = float(_max(np.abs(u - u0 - y), axis=None)) / k
-    z = np.logaddexp(u, u0 + y) - _LOG2
-    return z - z[0], u0, res
+    u0 = u.item(0)
+    d = u - u0
+    d -= y
+    res = float(_max(np.abs(d, d))) / k
+    z = np.logaddexp(u, np.add(y, u0, d), u)  # y + u0 is u0 + y
+    z -= _LOG2
+    z -= z.item(0)
+    return z, u0, res
 
 
 def _lazy_phase(kA, y, k, best, budget):
@@ -252,7 +274,8 @@ def _accelerate(kA: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
 
     Below _GEMM_MIN_N, B is the left n columns of one (n, n+1) buffer
     [B | x], and the row-blocked product of B with it gives B squared in
-    columns 0..n-1 and the power step in column n: one product per round.
+    columns 0..n-1 and the power step in column n: one product per round,
+    _log_matmul_into work buffers allocated once per call.
     From _GEMM_MIN_N on, a round takes B's row maxima r and E = exp(B - r)
     once: the power step is a GEMV with E, and the square GEMM that squares
     B, when the round goes on, takes E as its left operand, so a round costs
@@ -262,33 +285,47 @@ def _accelerate(kA: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     """
     n = kA.shape[0]
     u = _lse_rows(kA + y)
-    c0 = float(np.minimum.reduce(u - y)) - math.log(n) - 1.0
+    u -= y
+    c0 = float(np.minimum.reduce(u)) - math.log(n) - 1.0
     fused = n < _GEMM_MIN_N
     Bx = np.empty((n, n + 1 if fused else n))  # [B | x] when fused
     B = Bx[:, :n]
     B[...] = kA
-    idx = np.arange(n)
-    B[idx, idx] = np.logaddexp(B[idx, idx], c0)
+    diag = Bx.reshape(-1)[:: Bx.shape[1] + 1]  # B's diagonal, as a view
+    np.logaddexp(diag, c0, out=diag)
+    if fused:  # the round's work buffers and its product [B^2 | step]
+        T = np.empty((n, n, n + 1))
+        m = np.empty((n, 1, n + 1))
+        P3 = np.empty((n, 1, n + 1))
+        B3, P = B[:, :, None], P3[:, 0]
+        xcol, step, square = Bx[:, n], P[:, n], P[:, :n]
     x = y
     for rounds in range(1, _SQUARING_ROUNDS + 1):
         if fused:
-            Bx[:, n] = x
-            P = _log_matmul_blocked(B, Bx)
-            xnew = P[:, n] - P[0, n]
+            xcol[...] = x
+            _log_matmul_into(B3, Bx, T, m, P3)
+            xnew = step - step.item(0)
+            # the GEMM branch's two tests on lists, cheaper at small n.  Past
+            # the first, xnew is finite, so |xnew - x| is NaN only where x
+            # is, and x never is: a NaN in y makes c0, so the first step, NaN.
+            # So a max on a list, which can skip a NaN, gives np.max's value
+            if not all(map(math.isfinite, xnew.tolist())):
+                break
+            d = xnew - x
+            delta = max(np.abs(d, d).tolist())
         else:
             r, E = _row_scaled(B)
             xnew = _log_matvec_scaled(B, r, E, x)
             xnew -= xnew[0]
-        if not np.logical_and.reduce(np.isfinite(xnew)):
-            break
-        delta = float(_max(np.abs(xnew - x)))
+            if not np.logical_and.reduce(np.isfinite(xnew)):
+                break
+            delta = float(_max(np.abs(xnew - x)))
         x = xnew
         if delta < 1e-12:
             break  # aggregation stabilized
         if not fused:
-            P = _log_matmul_scaled(B, r, E, B)
-        P = P[:, :n]
-        np.subtract(P, _max(P, axis=None), out=B)
+            square = _log_matmul_scaled(B, r, E, B)
+        np.subtract(square, _max(square, None), B)
     return x, rounds
 
 
@@ -428,7 +465,9 @@ def normalized_trajectory(A, k_schedule: Sequence[float]) -> PerronTrajectory:
                 PerronSample(
                     k=k,
                     log_rho_over_k=s / k,
-                    point=float_point(y / k),
+                    # y_1 is +0.0 (a coordinate minus itself, or 0 scaled),
+                    # so float_point's shift by it would change no bit
+                    point=FloatPoint(tuple((y / k).tolist())),
                     residual=res,
                     iterations=it,
                 )

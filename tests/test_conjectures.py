@@ -193,26 +193,43 @@ class TestPerturbations:
             got = eigenspace_preserving_perturbations(FIG8, count=3, seed=1)
         assert len(got) < 3
 
-    def test_stops_once_every_candidate_was_tried(self, monkeypatch):
-        # FIG3 has no eigenspace-preserving perturbation of magnitude 2: its
-        # 6 off-diagonal entries x 8 nonzero deltas give 48 candidates, so
-        # more than 48 candidates drawn means draws after the last candidate,
-        # and so does a random state that moved after the last one
+    def test_stops_once_every_candidate_was_tried(self):
+        # 3 nodes: 6 off-diagonal entries x 8 nonzero deltas give 48
+        # candidates, so more than 48 candidates drawn means draws after the
+        # last candidate, and so does a random state that moved after the
+        # last one.  The budget, the sampler's for 3 members, is far past
+        # what drawing all 48 takes
         drawn, states = [], []
+        rng = random.Random(1)
+        for move in conjectures._perturbation_draws(3, rng, 400 * 3):
+            drawn.append(move)
+            states.append(rng.getstate())
+        states.append(rng.getstate())
+        assert 0 < len(drawn) <= 48
+        assert len(set(drawn)) == 48  # each candidate once
+        assert states[-1] == states[-2]
+
+    def test_stops_once_every_passing_candidate_was_accepted(self, monkeypatch):
+        # FIG3 has no eigenspace-preserving perturbation of magnitude 2, so
+        # nothing is drawn.  FIG7 has 14 of its 48 candidates passing, so a
+        # family of 20 takes all 14, and the draws stop at the one that
+        # completes it: at seed 0 the 43rd candidate in draw order
+        drawn = []
         draws = conjectures._perturbation_draws
 
-        def recording(n, rng, budget):
+        def counting(n, rng, budget):
             for move in draws(n, rng, budget):
                 drawn.append(move)
-                states.append(rng.getstate())
                 yield move
-            states.append(rng.getstate())
 
-        monkeypatch.setattr(conjectures, "_perturbation_draws", recording)
-        got = eigenspace_preserving_perturbations(FIG3, count=3, seed=1)
-        assert got == []
-        assert 0 < len(drawn) <= 48
-        assert states[-1] == states[-2]
+        monkeypatch.setattr(conjectures, "_perturbation_draws", counting)
+        assert eigenspace_preserving_perturbations(FIG3, count=3, seed=1) == []
+        assert drawn == []
+        got = eigenspace_preserving_perturbations(FIG7, count=20, seed=0)
+        assert got == perturbations_oracle(FIG7, 20, 0)
+        order = list(perturbation_candidates_oracle(FIG7, 0))
+        assert len(order) == 48 and len(got) == 14
+        assert len(drawn) == max(map(order.index, got)) + 1 == 43
 
     @pytest.mark.parametrize("A", [FIG8, FIG3, random_matrix(3, grid_step="1/3", seed=4)])
     def test_candidates_equal_the_rational_construction(self, A, monkeypatch):

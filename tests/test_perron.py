@@ -17,6 +17,7 @@ from tropasym import (
     spectral_data,
 )
 from tropasym import perron
+from tropasym.figures import load_cases
 
 from _oracles import (
     OracleError,
@@ -254,12 +255,61 @@ class TestTrajectoryOracle:
                 assert traj.failures
                 assert traj == trajectory_oracle(A, self.SCHEDULE, tol=0.0)
 
+    def test_equals_oracle_on_the_campaign_inputs(self):
+        # the conjectures campaign's own matrices over its own schedule, k up
+        # to 16384: seeded random_matrix(3) draws and the bundled figure
+        # cases.  repr tells -0.0 from 0.0, which == does not
+        ks = geometric_schedule()
+        rng = random.Random(28)
+        mats = [random_matrix(3, seed=rng).to_floats() for _ in range(100)]
+        mats += [case.matrix.to_floats() for case in load_cases()]
+        assert len(mats) == 108
+        accelerated = 0
+        for A in mats:
+            traj = normalized_trajectory(A, ks)
+            assert repr(traj) == repr(trajectory_oracle(A, ks))
+            accelerated += any(s.iterations > 1 for s in traj.samples)
+        assert accelerated > 50
+
     def test_non_finite_entries_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
             A = [row[:] for row in FIG2]
             A[0][1] = bad
             with pytest.raises(ValueError, match="finite"):
                 normalized_trajectory(A, self.SCHEDULE)
+
+
+class TestAcceleratorStops:
+    """_accelerate's non-finite stop, which no valid trajectory reaches: x
+    keeps its last finite value, fused (n=3) and with the GEMM (n=16)."""
+
+    @pytest.mark.parametrize("n", [3, perron._GEMM_MIN_N])
+    def test_first_step_not_finite_keeps_the_start(self, n):
+        # a row of -inf makes its logsumexp NaN, so the diagonal shift c0 is
+        # NaN and so is the first power step
+        kA = np.random.default_rng(n).uniform(-6.0, 0.0, (n, n))
+        kA[1] = -math.inf
+        y = np.random.default_rng(n + 1).uniform(-1.0, 1.0, n)
+        y[0] = 0.0
+        with np.errstate(all="ignore"):
+            x, rounds = perron._accelerate(kA, y)
+        assert rounds == 1
+        assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("n", [3, perron._GEMM_MIN_N])
+    def test_later_step_not_finite_keeps_the_last_finite_one(self, n, monkeypatch):
+        # entries near -1e308: the first power step is finite, but B squared,
+        # whose entries add two of B's, overflows to -inf, so the
+        # renormalized B is NaN and the second step is not finite
+        kA = -1e308 * np.random.default_rng(n).uniform(1.0, 1.5, (n, n))
+        y = np.zeros(n)
+        with np.errstate(all="ignore"):
+            x, rounds = perron._accelerate(kA, y)
+            monkeypatch.setattr(perron, "_SQUARING_ROUNDS", 1)
+            first, one = perron._accelerate(kA, y)
+        assert (rounds, one) == (2, 1)
+        assert np.isfinite(x).all() and not np.array_equal(x, y)
+        assert np.array_equal(x, first)
 
 
 class TestMetamorphic:
@@ -494,11 +544,12 @@ class TestLogMatmul:
 
     def test_trajectory_bit_identical_under_oracle(self, monkeypatch):
         # bit for bit below the GEMM cut-over (n=3), where each round is one
-        # row-blocked product.  From the cut-over (n=24, 40, 16) the GEMV
-        # power step and the GEMM sum in another order than
-        # trajectory_oracle, whose power step is a separate _lse_rows pass,
-        # so the samples must agree in k and iterations and their points and
-        # eigenvalues within the solver's own certification tolerance
+        # row-blocked product, _log_matmul_into the accelerator's buffers.
+        # From the cut-over (n=24, 40, 16) the GEMV power step and the GEMM
+        # sum in another order than trajectory_oracle, whose power step is a
+        # separate _lse_rows pass, so the samples must agree in k and
+        # iterations and their points and eigenvalues within the solver's
+        # own certification tolerance
         rng = np.random.default_rng(11)
         half_grid = -0.5 * np.arange(1, 13)  # -1/2, -1, ..., -6
         products = {"blocked": 0, "gemm": 0}
@@ -510,13 +561,16 @@ class TestLogMatmul:
 
             return wrapped
 
+        def oracle_into(B, C, T, m, out):  # the fused round's kernel, by the oracle
+            out[:, 0] = log_matmul_oracle(B[:, :, 0], C)
+
         for n in (3, 24, 40, 16):
             A = zero_diagonal(n, rng, half_grid)
             ks = geometric_schedule(10)
             if n < perron._GEMM_MIN_N:
                 library = normalized_trajectory(A, ks)
                 with monkeypatch.context() as m:
-                    m.setattr(perron, "_log_matmul_blocked", counting("blocked", log_matmul_oracle))
+                    m.setattr(perron, "_log_matmul_into", counting("blocked", oracle_into))
                     assert normalized_trajectory(A, ks) == library
                 continue
             with monkeypatch.context() as m:
