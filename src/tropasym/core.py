@@ -12,12 +12,10 @@ denominators.  The kernels (Kleene star, Karp, Schur complement) read the
 numerators into one integer numpy array each and run their O(n^3) passes on
 it: `int64` while the kernel's own bound on the magnitudes it forms stays
 below 2**62, Python ints (dtype object) past that, with the same code for
-both.  (Below n = 6, `spectral` runs Karp and the normalized plus-closure on
-Python lists instead, where numpy's per-call cost outweighs the arithmetic.)
-Results go back to tuples of Python ints; scalar results are `Fraction`s.
-Criticality of a cycle is a statement about exact ties, so the whole
-combinatorial layer must stay exact; floating point enters only in the
-numerical companion types at the bottom of the module.
+both, at every size.  Results go back to tuples of Python ints; scalar
+results are `Fraction`s.  Criticality of a cycle is a statement about exact
+ties, so the whole combinatorial layer must stay exact; floating point
+enters only in the numerical companion types at the bottom of the module.
 """
 
 from __future__ import annotations

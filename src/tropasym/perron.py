@@ -120,17 +120,6 @@ def _lse_rows(B: np.ndarray) -> np.ndarray:
     return s
 
 
-def _log_matmul(B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Log-domain matrix product: out_ij = logsumexp_l(B_il + C_lj).
-
-    One BLAS GEMM on operands scaled by the row maxima r of B and the column
-    maxima c of C: out = r + c + log(exp(B - r) @ exp(C - c)), which takes
-    2n^2 exponentials where the row-blocked kernel takes n^3; see
-    _log_matmul_scaled.
-    """
-    return _log_matmul_scaled(B, *_row_scaled(B), C)
-
-
 def _row_scaled(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The row maxima r of B and exp(B - r), the GEMM's left operand."""
     r = _max(B, axis=1)
@@ -141,7 +130,12 @@ def _row_scaled(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _log_matmul_scaled(
     B: np.ndarray, r: np.ndarray, E: np.ndarray, C: np.ndarray
 ) -> np.ndarray:
-    """_log_matmul(B, C) from B's row maxima r and E = exp(B - r).
+    """Log-domain matrix product out_ij = logsumexp_l(B_il + C_lj) from B's
+    row maxima r and E = exp(B - r).
+
+    One BLAS GEMM on operands scaled by r and the column maxima c of C:
+    out = r + c + log(E @ exp(C - c)), which takes 2n^2 exponentials where
+    the row-blocked kernel takes n^3.
 
     The accelerator passes the E its power step already took.  Every term of
     the scaled GEMM is at most 1, so nothing overflows, but a term far below

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -34,43 +33,20 @@ def _require_max_plus(A: TropicalMatrix, what: str):
         raise ValueError(f"{what} requires a max-plus matrix, got {A.semiring}")
 
 
-# from this size on Karp's table and the lambda-normalized closure run as
-# integer numpy passes; below it numpy's per-call cost outweighs their O(n^3)
-# arithmetic, and they run on Python lists
-_ARRAY_MIN_N = 6
+def _karp(W: np.ndarray) -> tuple[int, int]:
+    """Maximum cycle mean of the integer array W, as p / q with q > 0.
 
-
-def _walks(W: np.ndarray) -> list[list[int]]:
-    """Karp's table D[1..n] of the integer array W, as lists.
-
-    D[m][v] is the maximum weight of a walk of exactly m edges from node 0 to
-    v.  Each row D[m] for m >= 2 is one broadcast max over the previous one,
-    so |D| <= n max|W|.
+    Karp's table D[1..n]: D[m][v] is the maximum weight of a walk of exactly
+    m edges from node 0 to v.  Each row D[m] for m >= 2 is one broadcast max
+    over the previous one, so |D| <= n max|W|.  With m = 0 only node 0 is
+    reachable, at weight 0.  The mean is max_v min_m (D[n][v] - D[m][v]) /
+    (n - m), the ratios compared by cross-multiplication on Python ints.
     """
+    n = len(W)
     rows = [W[0]]
-    for _ in range(1, len(W)):
+    for _ in range(1, n):
         rows.append(np.maximum.reduce(rows[-1][:, None] + W))
-    return [row.tolist() for row in rows]
-
-
-def _walks_lists(W: Sequence[Sequence[int]]) -> list[list[int]]:
-    """`_walks` on rows of Python ints, one max over a column per entry."""
-    cols = list(zip(*W))
-    rows = [list(W[0])]
-    for _ in range(1, len(W)):
-        prev = rows[-1]
-        rows.append([max(map(add, prev, col)) for col in cols])
-    return rows
-
-
-def _karp(D: list[list[int]]) -> tuple[int, int]:
-    """Maximum cycle mean from Karp's table D[1..n], as p / q with q > 0.
-
-    With m = 0 only node 0 is reachable, at weight 0.  The mean is
-    max_v min_m (D[n][v] - D[m][v]) / (n - m), the ratios compared by
-    cross-multiplication on Python ints.
-    """
-    n = len(D)
+    D = [row.tolist() for row in rows]
     best_p, best_q = None, 1
     for v, col in enumerate(zip(*D)):  # D[1..n][v]
         dn = col[-1]
@@ -86,47 +62,9 @@ def _karp(D: list[list[int]]) -> tuple[int, int]:
     return best_p, best_q
 
 
-def _normalized_plus_lists(
-    W: list[list[int]], pivots: Sequence[int] | None = None
-) -> list[list[int]]:
-    """`_star` on rows of Python ints with no positive cycle, unchecked and
-    in place."""
-    for k in range(len(W)) if pivots is None else pivots:
-        Wk = W[k]
-        # with no positive cycle, round k leaves row k and column k alone
-        for Wi in W:
-            a = Wi[k]
-            for j, y in enumerate(Wk):
-                if a + y > Wi[j]:
-                    Wi[j] = a + y
-    return W
-
-
-def _numerators(W: Sequence[Sequence[int]] | np.ndarray, growth: int):
-    """The max-plus numerators W as the kernels below take them: rows of
-    Python ints below _ARRAY_MIN_N, and from there on `_int_array(W,
-    growth)`, whose dtype is checked again for every array passed in."""
-    if len(W) < _ARRAY_MIN_N:
-        return W.tolist() if isinstance(W, np.ndarray) else W
-    return _int_array(W, growth)
-
-
-def _karp_mean(W) -> tuple[int, int]:
-    """The maximum cycle mean of the `_numerators` W, as p / q with q > 0."""
-    return _karp(_walks(W) if isinstance(W, np.ndarray) else _walks_lists(W))
-
-
-def _normalized(W, p: int, q: int):
-    """Abar = W q - p, the numerators of W - p / q over q, in W's form."""
-    if isinstance(W, np.ndarray):
-        return W * q - p
-    return [[x * q - p for x in row] for row in W]
-
-
-def _normalized_closure(W):
-    """Karp's p / q for the `_numerators` W, the plus-closure T of Abar =
-    `_normalized(W, p, q)` as lists, and the critical nodes and classes read
-    off T.
+def _normalized_closure(W: np.ndarray):
+    """Karp's p / q for the integer array W, the plus-closure T of Abar =
+    W q - p as lists, and the critical nodes and classes read off T.
 
     Abar has no positive cycle.  Node i is critical (on a zero-mean cycle)
     iff T_ii = 0, and critical i and j share a class (a strongly connected
@@ -134,12 +72,8 @@ def _normalized_closure(W):
     M = max|W| since |p / q| <= M, so the closure's sums stay within 4n^2 M:
     the growth W's dtype must allow.
     """
-    p, q = _karp_mean(W)
-    Abar = _normalized(W, p, q)
-    if isinstance(Abar, np.ndarray):
-        T = _star(Abar, "positive").tolist()
-    else:
-        T = _normalized_plus_lists(Abar)
+    p, q = _karp(W)
+    T = _star(W * q - p, "positive").tolist()
     nodes = [i for i in range(len(T)) if T[i][i] == 0]
     classes: list[tuple[int, ...]] = []
     placed: set[int] = set()
@@ -232,7 +166,7 @@ def _batch_same_eigenspace(W) -> np.ndarray:
 def max_cycle_mean(A: TropicalMatrix) -> Fraction:
     """Maximum mean weight over all directed cycles, by Karp on A's numerators."""
     _require_max_plus(A, "max_cycle_mean")
-    p, q = _karp_mean(_numerators(A.nums, A.n))
+    p, q = _karp(_int_array(A.nums, A.n))
     return Fraction(p, q * A.den)
 
 
@@ -267,7 +201,7 @@ def spectral_data(A: TropicalMatrix) -> SpectralData:
     """
     _require_max_plus(A, "spectral_data")
     n = A.n
-    p, q, T, nodes, classes = _normalized_closure(_numerators(A.nums, 4 * n * n))
+    p, q, T, nodes, classes = _normalized_closure(_int_array(A.nums, 4 * n * n))
     s = q * A.den
     gens: list[ProjectivePoint] = []
     seen: set[tuple[int, ...]] = set()

@@ -14,9 +14,7 @@ simple cycle, the eigenvector check evaluates the eigen-equation row by row,
 and the float Perron oracle runs linear-domain power iteration on exp(kA).
 
 The exact kernel oracles are the library's earlier pure-Python kernels, kept
-as differential references for its integer-array and list ones (the library
-runs Karp and the normalized star on lists below a size cut-over, each its
-own code): a Floyd-Warshall star
+as differential references for its integer-array ones: a Floyd-Warshall star
 that runs every round before it looks for a bad cycle, Karp's table built one
 list per row, the Schur complement one row at a time, and the spectral data
 and candidate exponents composed from them with Fraction arithmetic.  Of the

@@ -2,8 +2,7 @@
 _oracles at sizes the rest of the suite does not reach: seeded n=60 and
 n=120 matrices on the 1/3 grid, the n=60 one shifted by 2^70 onto Python
 ints (dtype object), converging Schur pipelines at n=20, 40 and 60, and
-2,000 small matrices across the cut-over from the list kernels to the array
-kernels.
+2,000 small matrices at n=2..6.
 
 Each test fails only on a mismatch with its oracle.  Library and oracle
 times are printed for the record (shown with `pytest -s`), never gated.
@@ -101,7 +100,7 @@ def test_spectral_data_sweep_times():
         print(f"spectral_data(random_matrix({n})): {1e3 * best:.2f} ms")
 
 
-def test_small_matrices_across_the_cut_over():
+def test_small_matrices_sweep_matches_oracle():
     """400 matrices at each n = 2..6 on the 1, 1/2 and 1/3 grids."""
     rng = random.Random(0)
     for n in range(2, 7):

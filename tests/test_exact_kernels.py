@@ -111,31 +111,20 @@ def test_spectral_data_matches_oracle():
         assert spectral_data(B) == spectral_data_oracle(B), A.n
 
 
-def on_path(monkeypatch, path, f, A):
-    """f(A) with spectral's Karp and normalized star forced onto Python lists
-    or integer arrays at A's size, from an empty spectral_data cache."""
-    with monkeypatch.context() as m:
-        m.setattr(spectral, "_ARRAY_MIN_N", A.n + 1 if path == "lists" else 0)
-        spectral_data.cache_clear()
-        return f(A)
-
-
 @pytest.mark.parametrize("grid", ["1", "1/2", "1/3"])
-def test_list_kernels_match_oracles_and_arrays(grid, monkeypatch):
-    """Both sides of the size cut-over, on grid matrices with a zero diagonal
-    and on rational ones with any diagonal, raw and lambda-normalized."""
+def test_small_matrices_match_oracles(grid):
+    """Karp and the normalized star at n = 2..7, on grid matrices with a
+    zero diagonal and on rational ones with any diagonal, raw and
+    lambda-normalized, each solved from an empty spectral_data cache."""
     rng = random.Random(9)
-    assert 2 < spectral._ARRAY_MIN_N <= 7
     for n in range(2, 8):
         for _ in range(25):
             for A in (random_matrix(n, grid_step=grid, seed=rng), rational_matrix(n, rng)):
                 for X in (A, normalized(A)):
                     want = spectral_data_oracle(X)
+                    spectral_data.cache_clear()
                     assert spectral_data(X) == want, n
                     assert max_cycle_mean(X) == want.lam == karp_oracle(X), n
-                    for path in ("lists", "arrays"):
-                        assert on_path(monkeypatch, path, spectral_data, X) == want, (n, path)
-                        assert on_path(monkeypatch, path, max_cycle_mean, X) == want.lam, (n, path)
 
 
 def batch_matches_oracles(stack, den):
@@ -325,7 +314,7 @@ def test_candidate_exponents_matches_oracle():
     assert completed > 0
 
 
-def test_int64_guard_both_sides(monkeypatch):
+def test_int64_guard_both_sides():
     """Numerators just inside int64's guard and well past it give oracle results."""
     rng = random.Random(7)
     n = 4
@@ -348,20 +337,27 @@ def test_int64_guard_both_sides(monkeypatch):
             assert outcome(minplus_schur, X.negate(), {0, 2}) == outcome(
                 minplus_schur_oracle, X.negate(), {0, 2}
             )
-        want = spectral_data_oracle(A)
-        for path in ("lists", "arrays"):
-            assert on_path(monkeypatch, path, max_cycle_mean, A) == karp_oracle(A)
-            assert on_path(monkeypatch, path, spectral_data, A) == want
+        spectral_data.cache_clear()
+        assert max_cycle_mean(A) == karp_oracle(A)
+        assert spectral_data(A) == spectral_data_oracle(A)
         assert outcome(candidate_exponents, A.negate()) == outcome(
             candidate_exponents_oracle, A.negate()
         )
 
 
+def near_guard(n, seed):
+    """Integer entries just inside spectral_data's int64 guard, 4n^2 max|A| < 2^62."""
+    rng = random.Random(seed)
+    M = (1 << 62) // (4 * n * n) - 1
+    return TropicalMatrix.from_rows([[rng.randint(-M, M) for _ in range(n)] for _ in range(n)])
+
+
 def test_int64_guard_checked_at_every_schur_level(monkeypatch):
     """A Schur level's numerators can outgrow the int64 guard of the level
-    before it (a level over den q is scaled by q), and a level-0 shift by
-    2^70 is gone one level later.  Every level runs on the dtype
-    `_int_array` picks for its own matrix, and the results are the oracles'."""
+    before it (a level over den q is scaled by q), at n = 12 and at n = 5,
+    and a level-0 shift by 2^70 is gone one level later.  Every level, of
+    any size, is an array of the dtype `_int_array` picks for its own
+    matrix, and the results are the oracles'."""
     seen = []
     closure = schur._normalized_closure
 
@@ -370,15 +366,11 @@ def test_int64_guard_checked_at_every_schur_level(monkeypatch):
         return closure(W)
 
     monkeypatch.setattr(schur, "_normalized_closure", recording)
-    n = 12
-    rng = random.Random(0)
-    M = (1 << 62) // (4 * n * n) - 1
-    near_guard = TropicalMatrix.from_rows([[rng.randint(-M, M) for _ in range(n)] for _ in range(n)])
-    shifted = random_matrix(n, grid_step="1/3", seed=5).shift(2**70)
-    assert _int_array(near_guard.nums, 4 * n * n).dtype == np.int64
-    assert _int_array(shifted.nums, 4 * n * n).dtype == object
-    level_dtypes = []
-    for A in (near_guard, shifted):
+    shifted = random_matrix(12, grid_step="1/3", seed=5).shift(2**70)
+    inputs = (near_guard(12, 0), shifted, near_guard(5, 0))
+    assert [_int_array(A.nums, 4 * A.n**2).dtype for A in inputs] == [np.int64, object, np.int64]
+    levels_seen = []
+    for A in inputs:
         B = A.negate()
         seen.clear()
         levels = schur_sequence(B)
@@ -386,12 +378,13 @@ def test_int64_guard_checked_at_every_schur_level(monkeypatch):
         assert outcome(candidate_exponents, B) == outcome(candidate_exponents_oracle, B)
         # levels 1.. of each of the two calls above; level 0 is spectral_data's
         assert len(seen) == 2 * (len(levels) - 1)
-        arrays = [W for W in seen if isinstance(W, np.ndarray)]
-        for W in arrays:
+        for W in seen:
+            assert isinstance(W, np.ndarray)
             assert W.dtype == _int_array(W.tolist(), 4 * len(W) ** 2).dtype
-        level_dtypes.append([W.dtype for W in arrays])
-    assert level_dtypes[0][0] == object  # level 1 crossed the guard level 0 kept
-    assert np.int64 in level_dtypes[1]  # the 2^70 shift is gone at level 1
+        levels_seen.append([(len(W), W.dtype) for W in seen])
+    assert levels_seen[0][0][1] == object  # level 1 crossed the guard level 0 kept
+    assert np.int64 in [dtype for _, dtype in levels_seen[1]]  # the 2^70 shift is gone at level 1
+    assert levels_seen[2][0] == (4, object)  # and so did a level below n = 6
 
 
 def test_divergent_star_near_guard_raises_like_oracle():
