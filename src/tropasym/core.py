@@ -8,14 +8,20 @@ A projective point is stored the same way: `int` numerators over one
 positive denominator, in lowest terms, encoded from rationals only by
 `normalize_projective`, with `coords` its `Fraction` view.  Span membership
 runs on the numerators of the points involved, rescaled to the lcm of their
-denominators.  The kernels (Kleene star, Karp, Schur complement) read the
-numerators into one integer numpy array each and run their O(n^3) passes on
-it: `int64` while the kernel's own bound on the magnitudes it forms stays
-below 2**62, Python ints (dtype object) past that, with the same code for
-both, at every size.  Results go back to tuples of Python ints; scalar
-results are `Fraction`s.  Criticality of a cycle is a statement about exact
-ties, so the whole combinatorial layer must stay exact; floating point
-enters only in the numerical companion types at the bottom of the module.
+denominators.  The kernels (Kleene star, Karp, Schur complement) run their
+O(n^3) passes on integer numpy arrays of the numerators: `int64` while the
+kernel's own bound on the magnitudes it forms stays below 2**62, Python ints
+(dtype object) past that, with the same code for both, at every size.  A
+matrix reads its numerators into such an array once, cached read-only at
+the spectral pipeline's growth 4n^2 (`TropicalMatrix._array`), which
+`spectral_data`, Schur level 0 and B_hat share; a negation remembers the
+matrix it negated, so negating it back returns that object and its array.
+The standalone `kleene_star`, `max_cycle_mean` and `minplus_schur` read
+their own array at their tighter bounds.  Results go back to tuples of
+Python ints; scalar results are `Fraction`s.  Criticality of a cycle is a
+statement about exact ties, so the whole combinatorial layer must stay
+exact; floating point enters only in the numerical companion types at the
+bottom of the module.
 """
 
 from __future__ import annotations
@@ -80,6 +86,8 @@ class TropicalMatrix:
 
     The numerators and the positive denominator are kept in lowest terms
     (gcd(den, *nums) == 1), so `==` and `hash` compare the rational entries.
+    Caches (`entries`, `_array`) and the link `negate` leaves are not
+    fields: equality, hashing, repr and pickling see only the three fields.
     """
 
     nums: tuple[tuple[int, ...], ...]
@@ -118,15 +126,39 @@ class TropicalMatrix:
         frac = {x: Fraction(x, self.den) for x in {x for row in self.nums for x in row}}
         return tuple(tuple(map(frac.__getitem__, row)) for row in self.nums)
 
+    @cached_property
+    def _array(self) -> np.ndarray:
+        """The numerators as a read-only `_int_array` at growth 4n^2, the
+        bound of `spectral_data`'s closure: read once per matrix, then
+        shared by `spectral_data`, Schur level 0 and B_hat's star."""
+        W = _int_array(self.nums, 4 * self.n * self.n)
+        W.flags.writeable = False
+        return W
+
     @property
     def n(self) -> int:
         return len(self.nums)
 
     def negate(self) -> "TropicalMatrix":
-        """Entrywise negation, switching the semiring tag (max-plus <-> min-plus)."""
+        """Entrywise negation, switching the semiring tag (max-plus <-> min-plus).
+
+        The negation remembers the matrix it negated, so `A.negate().negate()
+        is A`: negating back returns A itself, with its cached array and its
+        `spectral_data` record, instead of a rebuilt copy.  The link runs one
+        way, from the negation to A, so it forms no reference cycle.
+        """
+        source = self.__dict__.get("_negation_of")
+        if source is not None:
+            return source
         other = MIN_PLUS if self.semiring == MAX_PLUS else MAX_PLUS
         nums = tuple(tuple(-x for x in row) for row in self.nums)
-        return TropicalMatrix(nums, self.den, other)
+        neg = TropicalMatrix(nums, self.den, other)
+        neg.__dict__["_negation_of"] = self
+        return neg
+
+    def __getstate__(self):
+        # the fields only: a copy rebuilds its caches, with a fresh read-only array
+        return {"nums": self.nums, "den": self.den, "semiring": self.semiring}
 
     def shift(self, c) -> "TropicalMatrix":
         """Add c to every entry (the matrix A + c*J)."""

@@ -35,9 +35,9 @@ from .core import (
     ProjectivePoint,
     TropicalMatrix,
     _int_array,
+    _int_dtype,
     _star,
     in_span,
-    kleene_star,
 )
 from .perron import PinfEstimate
 from .spectral import _normalized_closure, spectral_data
@@ -104,15 +104,17 @@ def schur_sequence(B: TropicalMatrix) -> list[SchurLevel]:
     and values.  `spectral._normalized_closure(W)` gives its eigenvalue
     -p / (q den) and critical classes off the plus-closure of Abar = W q - p;
     the next level is `_complement` of the critical nodes on Abar, over
-    den q and reduced to lowest terms.  Level 0 takes the eigenvalue and
-    classes from the cached `spectral_data(-B)`, so a caller that solved -B
-    is not re-solved, and later levels leave that cache alone.
+    den q and reduced to lowest terms.  Level 0 is A = `B.negate()`, which
+    is the caller's own matrix when B was built as `A.negate()`: its
+    eigenvalue and classes come from the cached `spectral_data(A)` and its
+    array is A's cached `_array`, so a caller that solved A re-reads
+    nothing.  Later levels leave that cache alone.
     """
     _require_min_plus(B, "schur_sequence")
     A = B.negate()
     n, den = A.n, A.den
     sd = spectral_data(A)
-    W = _int_array(A.nums, 4 * n * n)
+    W = A._array
     # sd.lam = p / (q den) with q <= n, so W's 4n^2 guard covers Abar = W q - p
     p, q = (sd.lam * den).as_integer_ratio()
     nodes, classes = sorted(sd.critical_nodes), sd.classes
@@ -159,6 +161,14 @@ def candidate_exponents(B: TropicalMatrix) -> SchurReport:
     row node was eliminated.  Each column v of the min-plus star of B_hat
     maps to the projective point normalize(-v); columns are deduplicated
     projectively.
+
+    The star runs on one integer array, B_hat's max-plus numerators over
+    the common denominator: f W + drop per row, from the cached array W of
+    -B that the Schur levels already read, in the dtype `_int_dtype` picks
+    for the star's bound 2n (f max|W| + max|drop|).  A divergent star raises
+    the StarDivergenceError that `kleene_star(b_hat)` would (a positive
+    scale moves neither the pivot nor the witness), and only a star that
+    converges is turned into `b_hat` and the star's `TropicalMatrix`.
     """
     _require_min_plus(B, "candidate_exponents")
     levels = schur_sequence(B)
@@ -175,9 +185,14 @@ def candidate_exponents(B: TropicalMatrix) -> SchurReport:
         removal_level[i].numerator * (den // removal_level[i].denominator)
         for i in range(n)
     ]
-    nums = tuple(tuple(f * x - d for x in row) for row, d in zip(B.nums, drop))
-    b_hat = TropicalMatrix(nums, den, MIN_PLUS)
-    star = kleene_star(b_hat)  # StarDivergenceError names the offending cycle
+    W = B.negate()._array
+    bound = 2 * n * (f * max(int(W.max()), -int(W.min())) + max(map(abs, drop)))
+    dtype = _int_dtype(bound)
+    W_hat = f * W.astype(dtype, copy=False) + np.array(drop, dtype=dtype)[:, None]
+    S = -_star(W_hat, "negative")  # StarDivergenceError names the offending cycle
+    S.flat[:: n + 1] = 0  # identity term: the empty path
+    b_hat = TropicalMatrix(tuple(map(tuple, (-W_hat).tolist())), den, MIN_PLUS)
+    star = TropicalMatrix(tuple(map(tuple, S.tolist())), den, MIN_PLUS)
     cands: list[Candidate] = []
     seen: set[ProjectivePoint] = set()
     for j in range(n):

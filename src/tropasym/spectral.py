@@ -195,13 +195,14 @@ def spectral_data(A: TropicalMatrix) -> SpectralData:
     Generators are T's columns at one node per class, deduplicated
     projectively; at a critical node they are the star's.
 
+    The closure runs on A's cached integer array (`A._array`, growth 4n^2).
     The last 8 records are kept, keyed by the matrix (whose `==` and `hash`
     compare the rational entries), so a caller and the Schur level 0 of
     `candidate_exponents(A.negate())` solve A once.
     """
     _require_max_plus(A, "spectral_data")
     n = A.n
-    p, q, T, nodes, classes = _normalized_closure(_int_array(A.nums, 4 * n * n))
+    p, q, T, nodes, classes = _normalized_closure(A._array)
     s = q * A.den
     gens: list[ProjectivePoint] = []
     seen: set[tuple[int, ...]] = set()

@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -94,6 +97,25 @@ class TestRepresentation:
             for j in range(A.n):
                 assert A.entries[i][j] == F(A.nums[i][j], A.den)
                 assert floats[i][j] == float(A.entries[i][j])
+
+    def test_negation_link_and_cached_array(self):
+        A = TropicalMatrix.from_rows([["0", "1/2", "-3"], ["2", "0", "-1/2"], ["-5/2", "1", "0"]])
+        B = A.negate()
+        assert B.negate() is A
+        dropped = weakref.ref(A.negate())
+        assert dropped() is None  # A keeps no link to its negations
+        plain = TropicalMatrix(B.nums, B.den, B.semiring)  # no link, no caches
+        assert B.entries and B._array.size and A._array.size  # fills the caches
+        assert B == plain and hash(B) == hash(plain) and repr(B) == repr(plain)
+        assert repr(B) == "TropicalMatrix(nums=((0, -1, 6), (-4, 0, 1), (5, -2, 0)), den=2, semiring='min-plus')"
+        assert B._array.tolist() == [list(row) for row in B.nums]
+        for clone in (pickle.loads(pickle.dumps(B)), copy.copy(B), copy.deepcopy(B)):
+            assert clone == B and hash(clone) == hash(B) and repr(clone) == repr(B)
+            assert clone.negate() == A and clone.entries == B.entries
+            assert clone._array.tolist() == B._array.tolist()
+            for W in (B._array, clone._array):
+                with pytest.raises(ValueError, match="read-only"):
+                    W[0, 0] = 1
 
     @settings(max_examples=40, deadline=None)
     @given(matrices(nmin=1, nmax=5))

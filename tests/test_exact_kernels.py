@@ -30,6 +30,7 @@ from tropasym import (
     schur_sequence,
     spectral_data,
 )
+import tropasym
 from tropasym import conjectures, core, schur, spectral
 from tropasym.conjectures import _draw_nums
 from tropasym.core import _int_array
@@ -387,6 +388,28 @@ def test_int64_guard_checked_at_every_schur_level(monkeypatch):
     assert levels_seen[2][0] == (4, object)  # and so did a level below n = 6
 
 
+def test_b_hat_past_int64_matches_oracle():
+    """B_hat's max-plus numerators are f W + drop, where W is -B's and f is
+    the lcm of the Schur levels' eigenvalue denominators over B's.  With
+    entries near 2^63 and f >= 2 they pass int64, so they must be formed
+    in Python ints; the outcomes, divergent or not, are the oracle's."""
+    rng = random.Random(1)
+    M = (1 << 63) - 1
+    past = converged = 0
+    for _ in range(40):
+        n = rng.randint(3, 5)
+        A = TropicalMatrix.from_rows([[rng.randint(-M, M) for _ in range(n)] for _ in range(n)])
+        B = A.negate()
+        levels = schur_sequence(B)
+        f = math.lcm(B.den, *(lv.eigenvalue.denominator for lv in levels)) // B.den
+        got = outcome(candidate_exponents, B)
+        assert got == outcome(candidate_exponents_oracle, B)
+        if f * magnitude(A) >= 2**63:
+            past += 1
+            converged += not isinstance(got, tuple)
+    assert past >= 10 and converged >= 1, (past, converged)
+
+
 def test_divergent_star_near_guard_raises_like_oracle():
     """Every edge among nodes 30..39 is positive, every other one negative, so
     the first bad pivot is node 30.  A full Floyd-Warshall pass would then
@@ -447,15 +470,38 @@ def test_witness_survives_pickle_and_copy():
 
 
 class TestSpectralDataCache:
-    def test_level_zero_reuses_the_callers_record(self, spectral_runs):
-        A = DIVERGENT.negate()
+    def test_level_zero_reuses_the_callers_record(self, spectral_runs, monkeypatch):
+        """Level 0 is the caller's own A, so A's numerator tuples are read
+        into an array once, and a divergent B_hat never reaches the public
+        kleene_star yet raises its error."""
+        reads, stars = [], []
+        int_array = core._int_array
+
+        def counting(nums, growth):
+            if not isinstance(nums, np.ndarray):
+                reads.append(nums)
+            return int_array(nums, growth)
+
+        def star(M):
+            stars.append(M)
+            return kleene_star(M)
+
+        for module in (core, spectral, schur):
+            monkeypatch.setattr(module, "_int_array", counting)
+        for module in (core, schur, tropasym):
+            if hasattr(module, "kleene_star"):
+                monkeypatch.setattr(module, "kleene_star", star)
+        A = TropicalMatrix(DIVERGENT.negate().nums, DIVERGENT.den)  # no array cached yet
         sd = spectral_data(A)
         levels = schur_sequence(A.negate())
         assert spectral_runs.count(A) == 1
         assert -levels[0].eigenvalue == sd.lam
-        with pytest.raises(StarDivergenceError):
+        with pytest.raises(StarDivergenceError) as info:
             candidate_exponents(A.negate())
         assert spectral_runs.count(A) == 1
+        assert len(reads) == 1 and reads[0] is A.nums
+        assert stars == []
+        assert (str(info.value), info.value.cycle) == (MESSAGE, (1,))
 
     def test_schur_levels_leave_the_cache_alone(self, spectral_runs):
         """Nine Schur levels used to cache eight records of their own and
