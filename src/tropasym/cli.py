@@ -20,8 +20,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import conjectures as conj
 from . import figures as figs
 from .core import TropicalMatrix
@@ -35,7 +33,7 @@ from .perron import (
 )
 from .plotting import render_eigenspace_svg
 from .schur import candidate_exponents, compare_prediction, report_to_json
-from .spectral import _batch_chains, spectral_data
+from .spectral import spectral_data
 
 
 # largest sup-norm gap at which a measured limit matches its prediction
@@ -43,9 +41,6 @@ _MATCH_TOL = 1e-2
 
 # random draws a conjectures campaign may make to find its counts
 _MAX_ATTEMPTS = 20000
-
-# chain candidates drawn and screened by one `_batch_chains` call
-_CHAIN_BLOCK = 32
 
 
 def _entry_to_rational(x) -> Fraction:
@@ -166,29 +161,9 @@ def cmd_conjectures(args) -> int:
     rng = random.Random(args.seed)
     report: dict = {"seed": args.seed}
 
-    chains, c1_verdicts = [], []
-    attempts = 0
-    while len(chains) < args.chains and attempts < _MAX_ATTEMPTS:
-        state = rng.getstate()
-        block, den = conj._draw_nums(3, min(_CHAIN_BLOCK, _MAX_ATTEMPTS - attempts), rng)
-        _, _, flagged = _batch_chains(block)
-        used = len(block)
-        for idx in np.flatnonzero(flagged).tolist():
-            # Python ints, since spectral_data's cache hashes the matrix
-            A = TropicalMatrix(tuple(map(tuple, block[idx].tolist())), den)
-            gens = spectral_data(A).generators  # a flag alone never admits a chain
-            if len(gens) < 2 or conj.translation_chain(gens) is None:
-                continue
-            chains.append(A)
-            c1_verdicts.append(conj.conjecture1_test(A, tol=_MATCH_TOL, schedule=schedule))
-            if len(chains) == args.chains:
-                used = idx + 1
-                break
-        attempts += used
-        if used < len(block):
-            # the family loop continues the stream after the last chain drawn
-            rng.setstate(state)
-            conj._draw_nums(3, used, rng)
+    # the family loop continues the stream after the last chain drawn
+    chains, attempts = conj._sample_chains(rng, args.chains, _MAX_ATTEMPTS)
+    c1_verdicts = [conj.conjecture1_test(A, tol=_MATCH_TOL, schedule=schedule) for A in chains]
     report["conjecture1"] = _verdict_summary(c1_verdicts)
 
     bases, c2_verdicts = [], []

@@ -38,9 +38,9 @@ from .perron import (
 )
 from .spectral import (
     SpectralData,
+    _batch_chains,
     _batch_same_eigenspace,
     _require_max_plus,
-    _same_span,
     spectral_data,
 )
 
@@ -53,6 +53,9 @@ _MAX_STEP = int(_PERTURBATION_MAGNITUDE / _PERTURBATION_STEP)
 
 # candidates eigenspace_preserving_perturbations draws per requested member
 _ATTEMPTS_PER_MEMBER = 400
+
+# chain candidates drawn and screened by one `_batch_chains` call
+_CHAIN_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,8 @@ def translation_chain(gens: Sequence[ProjectivePoint]) -> TranslationChain | Non
     """
     if not gens:
         raise ValueError("need at least one generator")
+    if any(g.dim != gens[0].dim for g in gens):
+        raise ValueError("generator dimension mismatch")
     den, nums = _common_nums(gens)
     base = nums[0]
     shifts: list[int] = []
@@ -255,9 +260,9 @@ def conjecture2_test(
     family = [A, *perturbed]
     spectra = tuple(spectral_data(M) for M in family)
     gens = [sd.generators for sd in spectra]
-    for g in gens[1:]:
-        if not _same_span(gens[0], g):
-            raise ValueError("perturbed matrix does not share the eigenspace")
+    # the generators are a basis (see spectral_data), so equal sets are equal spans
+    if any(set(g) != set(gens[0]) for g in gens[1:]):
+        raise ValueError("perturbed matrix does not share the eigenspace")
     estimates = _estimates(family, gens, schedule)
     points = [list(est.point.coords) for est in estimates]
     worst = 0.0
@@ -297,6 +302,36 @@ def random_matrix(
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     [nums], den = _draw_nums(n, 1, rng, grid_step, entry_range)
     return TropicalMatrix(tuple(map(tuple, nums.tolist())), den, MAX_PLUS)
+
+
+def _sample_chains(
+    rng: random.Random, count: int, budget: int
+) -> tuple[list[TropicalMatrix], int]:
+    """The first `count` translation chains among at most `budget` draws of
+    `random_matrix(3, seed=rng)`, and the number of draws that took.
+
+    Each block of _CHAIN_BLOCK draws is screened by one `_batch_chains`
+    call, whose flag alone admits a chain.  When the last chain comes in
+    mid-block, rng is rewound to just after it, so the stream and the draw
+    count are those of drawing one matrix at a time.
+    """
+    chains: list[TropicalMatrix] = []
+    draws = 0
+    while len(chains) < count and draws < budget:
+        state = rng.getstate()
+        block, den = _draw_nums(3, min(_CHAIN_BLOCK, budget - draws), rng)
+        used = len(block)
+        for idx in np.flatnonzero(_batch_chains(block)[2]).tolist():
+            # Python ints, since spectral_data's cache hashes the matrix
+            chains.append(TropicalMatrix(tuple(map(tuple, block[idx].tolist())), den))
+            if len(chains) == count:
+                used = idx + 1
+                break
+        draws += used
+        if used < len(block):
+            rng.setstate(state)
+            _draw_nums(3, used, rng)
+    return chains, draws
 
 
 def _draw_nums(

@@ -8,7 +8,9 @@ A projective point is stored the same way: `int` numerators over one
 positive denominator, in lowest terms, encoded from rationals only by
 `normalize_projective`, with `coords` its `Fraction` view.  Span membership
 runs on the numerators of the points involved, rescaled to the lcm of their
-denominators.  The kernels (Kleene star, Karp, Schur complement) run their
+denominators.  Equal eigenspaces need no span test: spectral generators
+are a basis, so equal generator sets decide it (`spectral.spectral_data`).
+The kernels (Kleene star, Karp, Schur complement) run their
 O(n^3) passes on integer numpy arrays of the numerators: `int64` while the
 kernel's own bound on the magnitudes it forms stays below 2**62, Python ints
 (dtype object) past that, with the same code for both, at every size.  A
@@ -354,17 +356,13 @@ def _span_projection(x: Sequence, gens: Sequence[Sequence]) -> list:
     return [max(lam + g[i] for lam, g in zip(lams, gens)) for i in range(len(x))]
 
 
-def _in_span_nums(x: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:
-    """Membership in the span for numerators over one denominator, x[0] == 0:
-    x is in the span iff its best approximation from below is x itself."""
-    proj = _span_projection(x, gens)
-    return all(p - proj[0] == xi for p, xi in zip(proj, x))
-
-
 def in_span(x: ProjectivePoint, gens: Sequence[ProjectivePoint]) -> bool:
-    """Exact membership of x in the tropical span of the generators."""
+    """Exact membership of x in the tropical span of the generators: on their
+    numerators over one denominator, x is in the span iff its best
+    approximation from below is x itself."""
     _, (xs, *gs) = _common_nums([x, *gens])
-    return _in_span_nums(xs, gs)
+    proj = _span_projection(xs, gs)
+    return all(p - proj[0] == xi for p, xi in zip(proj, xs))
 
 
 @dataclass(frozen=True)

@@ -13,19 +13,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    MAX_PLUS,
-    ProjectivePoint,
-    TropicalMatrix,
-    _common_nums,
-    _in_span_nums,
-    _int_array,
-    _star,
-)
+from .core import MAX_PLUS, ProjectivePoint, TropicalMatrix, _int_array, _star
 
 
 def _require_max_plus(A: TropicalMatrix, what: str):
@@ -127,9 +118,10 @@ def _batch_chains(W) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     every matrix in the stack W, as `_batch_closure` takes it.
 
     The flag is `len(gens) >= 2 and translation_chain(gens) is not None` for
-    spectral data's deduplicated generators: some critical column differs
-    from the first one's, and every one differs from it on rows 1..n-1 by a
-    constant.
+    `spectral_data`'s generators: some critical column differs from the
+    first one's, and every one differs from it on rows 1..n-1 by a
+    constant.  The conjecture campaign's chain sampler admits a chain on
+    this flag alone.
 
     Returns lambda L (m,), the critical nodes as a mask (m, n) and the flags
     (m,).
@@ -147,11 +139,9 @@ def _batch_same_eigenspace(W) -> np.ndarray:
     """Whether each matrix in the stack W, as `_batch_closure` takes it, has
     the eigenvalue and the eigenspace of W[0].
 
-    A finitely generated max-plus cone has one minimal generating set up to
-    scaling, and for a matrix with finite entries that is its critical
-    columns, one per class (Butkovic, Max-linear Systems, 2010).  So two
-    eigenspaces are equal iff the sets of their critical columns, pinned to
-    row 0, are equal.  Returns a mask (m,), True at 0.
+    Two eigenspaces are equal iff their bases, the critical columns at one
+    node per class pinned to row 0, are equal as sets (see `spectral_data`);
+    a column of a node stands for its class.  Returns a mask (m,), True at 0.
     """
     lam, T, critical = _batch_closure(W)
     cols = T - T[:, :1]
@@ -189,11 +179,15 @@ class SpectralData:
 
 @lru_cache(maxsize=8)
 def spectral_data(A: TropicalMatrix) -> SpectralData:
-    """Eigenvalue, critical nodes and classes, and deduplicated generators.
+    """Eigenvalue, critical nodes and classes, and one generator per class.
 
     T is the plus-closure of Abar = A - lam (see `_normalized_closure`).
-    Generators are T's columns at one node per class, deduplicated
-    projectively; at a critical node they are the star's.
+    Generators are T's columns at one node per class, pinned to row 0; at a
+    critical node they are the star's.  For finite entries they are the
+    eigenspace's minimal generating set, unique up to scaling (Butkovic,
+    Max-linear Systems, 2010): a basis, so two eigenspaces are equal iff
+    their generator sets are, the rule of `eigenspace_equal`,
+    `conjecture2_test` and the perturbation screen `_batch_same_eigenspace`.
 
     The closure runs on A's cached integer array (`A._array`, growth 4n^2).
     The last 8 records are kept, keyed by the matrix (whose `==` and `hash`
@@ -201,34 +195,22 @@ def spectral_data(A: TropicalMatrix) -> SpectralData:
     `candidate_exponents(A.negate())` solve A once.
     """
     _require_max_plus(A, "spectral_data")
-    n = A.n
     p, q, T, nodes, classes = _normalized_closure(A._array)
     s = q * A.den
-    gens: list[ProjectivePoint] = []
-    seen: set[tuple[int, ...]] = set()
-    for cls in classes:
-        key = tuple(T[i][cls[0]] - T[0][cls[0]] for i in range(n))
-        if key not in seen:
-            seen.add(key)
-            gens.append(ProjectivePoint(key, s))
+    gens = tuple(
+        ProjectivePoint(tuple(row[cls[0]] - T[0][cls[0]] for row in T), s) for cls in classes
+    )
     return SpectralData(
         lam=Fraction(p, s),
         critical_nodes=frozenset(nodes),
         classes=tuple(classes),
-        generators=tuple(gens),
+        generators=gens,
     )
 
 
 def eigenspace_equal(A: TropicalMatrix, B: TropicalMatrix) -> bool:
-    """True iff the two eigenspaces coincide (mutual span membership of generators)."""
+    """True iff the two eigenspaces coincide: iff their generator sets, the
+    bases of `spectral_data`, are equal."""
     if A.n != B.n:
         raise ValueError("dimension mismatch")
-    return _same_span(spectral_data(A).generators, spectral_data(B).generators)
-
-
-def _same_span(ga: Sequence[ProjectivePoint], gb: Sequence[ProjectivePoint]) -> bool:
-    """Mutual span membership of two generator sets, on their numerators over
-    one denominator."""
-    _, nums = _common_nums([*ga, *gb])
-    a, b = nums[: len(ga)], nums[len(ga) :]
-    return all(_in_span_nums(x, b) for x in a) and all(_in_span_nums(x, a) for x in b)
+    return set(spectral_data(A).generators) == set(spectral_data(B).generators)

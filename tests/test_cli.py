@@ -378,36 +378,15 @@ class TestConjecturesCommand:
         assert len(solved) == 5
         assert len(set(solved)) == 5
 
-    def test_chain_spectra_come_from_the_filter_cache(self, tmp_path, monkeypatch, capsys):
-        import tropasym.conjectures
-        from tropasym.spectral import spectral_data as cached
-
-        in_test, lookups = False, []
-
-        def recording(A):
-            hits = cached.cache_info().hits
-            sd = cached(A)
-            if in_test:
-                lookups.append(cached.cache_info().hits > hits)
-            return sd
-
-        conjecture1_test = tropasym.conjectures.conjecture1_test
-
-        def flagged(*args, **kwargs):
-            nonlocal in_test
-            in_test = True
-            try:
-                return conjecture1_test(*args, **kwargs)
-            finally:
-                in_test = False
-
-        # each chain is tested right after the CLI's filter computed its spectrum
-        monkeypatch.setattr(tropasym.conjectures, "spectral_data", recording)
-        monkeypatch.setattr(tropasym.conjectures, "conjecture1_test", flagged)
+    def test_chain_spectra_are_solved_once(self, tmp_path, spectral_runs, capsys):
+        # the exact screen alone admits a chain, so conjecture1_test solves its
+        # spectrum, once, and nothing else in the campaign does
         ds = tmp_path / "g.jsonl"
         code, _, _ = run(self.ARGS + ["--seed", "42", "--dataset", str(ds)], capsys)
         assert code == 0
-        assert lookups == [True, True]
+        rows = [json.loads(line) for line in ds.read_text().splitlines()]
+        for row in rows[:2]:
+            assert spectral_runs.count(TropicalMatrix.from_rows(row["matrix"])) == 1
 
     def test_dataset_rows_reuse_the_verdicts_spectra(self, tmp_path, monkeypatch, capsys):
         import tropasym.cli
@@ -472,6 +451,7 @@ class TestConjecturesCommand:
         import random
 
         import tropasym.cli
+        import tropasym.conjectures
         from tropasym.conjectures import (
             eigenspace_preserving_perturbations,
             random_matrix,
@@ -501,8 +481,8 @@ class TestConjecturesCommand:
         ]
         ds = tmp_path / "g.jsonl"
         outputs = set()
-        for block in (1, 7, tropasym.cli._CHAIN_BLOCK):
-            monkeypatch.setattr(tropasym.cli, "_CHAIN_BLOCK", block)
+        for block in (1, 7, tropasym.conjectures._CHAIN_BLOCK):
+            monkeypatch.setattr(tropasym.conjectures, "_CHAIN_BLOCK", block)
             monkeypatch.setattr(tropasym.cli, "_MAX_ATTEMPTS", draws)
             code, out, _ = run(args + ["--dataset", str(ds)], capsys)
             assert code == 0, block
@@ -514,6 +494,22 @@ class TestConjecturesCommand:
                 1, f"error: {draws - 1} draws found 3 of 3 chains and 1 of 2 families\n"
             ), block
         assert len(outputs) == 1
+
+    def test_a_wrong_chain_flag_ends_the_campaign(self, tmp_path, monkeypatch, capsys):
+        import tropasym.conjectures
+        from tropasym.spectral import _batch_chains
+
+        def flag_all(W):
+            lam, critical, chain = _batch_chains(W)
+            return lam, critical, chain | True
+
+        # the screen's flag is the only decider of a chain, so a flag on a
+        # draw that is none reaches conjecture1_test, which refuses it
+        monkeypatch.setattr(tropasym.conjectures, "_batch_chains", flag_all)
+        ds = tmp_path / "g.jsonl"
+        code, out, err = run(self.ARGS + ["--seed", "42", "--dataset", str(ds)], capsys)
+        assert (code, out, err) == (1, "", "error: eigenspace is not a translation chain\n")
+        assert not ds.exists()
 
     def test_zero_counts(self, tmp_path, monkeypatch, capsys):
         import tropasym.cli

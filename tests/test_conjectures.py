@@ -70,6 +70,12 @@ class TestTranslationChain:
     def test_not_a_chain(self):
         assert translation_chain([pp(0, -2, -1), pp(0, 1, 0)]) is None
 
+    def test_unequal_dimensions_are_rejected(self):
+        # as in_span and span_distance: a shorter tail must not be cut to fit
+        for gens in ([pp(0, 1), pp(0, 2, 5)], [pp(0, 2, 5), pp(0, 1)]):
+            with pytest.raises(ValueError, match="generator dimension mismatch"):
+                translation_chain(gens)
+
     def test_permutation_invariance(self):
         gens = [pp(0, -5, -6), pp(0, -2, -3), pp(0, -4, -5)]
         for perm in ([2, 0, 1], [1, 2, 0]):

@@ -22,6 +22,7 @@ from tropasym import (
     StarDivergenceError,
     TropicalMatrix,
     candidate_exponents,
+    eigenspace_equal,
     eigenspace_preserving_perturbations,
     kleene_star,
     max_cycle_mean,
@@ -40,6 +41,7 @@ from _oracles import (
     karp_oracle,
     kleene_star_oracle,
     minplus_schur_oracle,
+    same_span_oracle,
     schur_sequence_oracle,
     spectral_data_oracle,
     translation_chain_oracle,
@@ -124,7 +126,9 @@ def test_small_matrices_match_oracles(grid):
                 for X in (A, normalized(A)):
                     want = spectral_data_oracle(X)
                     spectral_data.cache_clear()
-                    assert spectral_data(X) == want, n
+                    sd = spectral_data(X)
+                    assert sd == want, n
+                    assert len(sd.generators) == len(sd.classes), n  # one per class
                     assert max_cycle_mean(X) == want.lam == karp_oracle(X), n
 
 
@@ -241,7 +245,7 @@ def screen_matches_per_candidate_test(A, W, mask):
     outcomes = []
     for B, passed in zip(candidates, mask[1:].tolist()):
         same_lam = max_cycle_mean(B) == sd.lam
-        same = same_lam and spectral._same_span(sd.generators, spectral_data(B).generators)
+        same = same_lam and same_span_oracle(sd.generators, spectral_data(B).generators)
         assert passed == same, B
         outcomes.append((same_lam, same))
     return outcomes
@@ -278,6 +282,40 @@ def test_eigenspace_screen_past_the_int64_guard(monkeypatch):
         assert (mask_big == mask).all()
         screen_matches_per_candidate_test(A.shift(2**70), W_big, mask_big)
         seen.clear()
+
+
+def test_eigenspace_equal_matches_span_oracle():
+    """eigenspace_equal, which compares generator sets, against mutual span
+    membership of the oracle's generators at n = 2..6: members and raw
+    candidates of perturbation families, shifts A + cJ and unrelated draws,
+    on zero-diagonal grid bases and rational ones with any diagonal."""
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for n in range(2, 7):
+        for k in range(12):
+            if k % 2:
+                A = rational_matrix(n, rng)
+            else:
+                A = random_matrix(n, grid_step=("1", "1/2", "1/3")[k % 3], seed=rng)
+            members = eigenspace_preserving_perturbations(A, count=2, seed=k)
+            raw = [
+                TropicalMatrix.from_rows(
+                    [[x + (Fraction(rng.choice((-2, -1, 1, 2)), 2) if (i, j) == ij else 0)
+                      for j, x in enumerate(row)] for i, row in enumerate(A.entries)]
+                )
+                for ij in ((rng.randrange(n), rng.randrange(n)) for _ in range(3))
+            ]
+            others = [
+                *members, *raw, A.shift(Fraction(rng.randint(-6, 6), 5)),
+                random_matrix(n, seed=rng), rational_matrix(n, rng),
+            ]
+            gens = spectral_data_oracle(A).generators
+            for B in others:
+                got = eigenspace_equal(A, B)
+                assert got == same_span_oracle(gens, spectral_data_oracle(B).generators), (A, B)
+                assert got == eigenspace_equal(B, A)
+                outcomes[got] += 1
+    assert min(outcomes.values()) > 100, outcomes  # both outcomes exercised
 
 
 def test_eigenspace_screen_compares_lambda():
