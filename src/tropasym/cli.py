@@ -164,6 +164,10 @@ def cmd_conjectures(args) -> int:
     # the family loop continues the stream after the last chain drawn
     chains, attempts = conj._sample_chains(rng, args.chains, _MAX_ATTEMPTS)
     c1_verdicts = [conj.conjecture1_test(A, tol=_MATCH_TOL, schedule=schedule) for A in chains]
+    # conjecture1_test also takes one generator as the degenerate chain, which
+    # the screen's rule excludes: an admitted one is a wrong flag
+    if any(len(v.spectra[0].generators) < 2 for v in c1_verdicts):
+        raise ValueError("eigenspace is not a translation chain")
     report["conjecture1"] = _verdict_summary(c1_verdicts)
 
     bases, c2_verdicts = [], []

@@ -153,7 +153,7 @@ class TropicalMatrix:
         if source is not None:
             return source
         other = MIN_PLUS if self.semiring == MAX_PLUS else MAX_PLUS
-        nums = tuple(tuple(-x for x in row) for row in self.nums)
+        nums = tuple(map(tuple, (-self._array).tolist()))
         neg = TropicalMatrix(nums, self.den, other)
         neg.__dict__["_negation_of"] = self
         return neg

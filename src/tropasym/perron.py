@@ -220,16 +220,22 @@ def _log_matmul_into(
 
 
 def _lazy_step(kA: np.ndarray, y: np.ndarray, k: float):
-    """One averaged step from y: the next point, u_1 and the residual of y."""
+    """One step's image of y: u = kA (x) y, u_1 and the residual of y."""
     u = _lse_rows(kA + y)
     u0 = u.item(0)
     d = u - u0
     d -= y
     res = float(_max(np.abs(d, d))) / k
-    z = np.logaddexp(u, np.add(y, u0, d), u)  # y + u0 is u0 + y
+    return u, u0, res
+
+
+def _averaged(u: np.ndarray, y: np.ndarray, u0: float) -> np.ndarray:
+    """The lazy step's next point, log((e^u + e^(y + u_1)) / 2) pinned to 0,
+    overwriting u."""
+    z = np.logaddexp(u, np.add(y, u0), u)  # y + u0 is u0 + y
     z -= _LOG2
     z -= z.item(0)
-    return z, u0, res
+    return z
 
 
 def _lazy_phase(kA, y, k, best, budget):
@@ -238,17 +244,19 @@ def _lazy_phase(kA, y, k, best, budget):
     Stops when a residual certifies its pre-step point, when the residual
     stalls, or after `budget` steps.  Returns the (residual, point, u_1) with
     the smallest residual among best and the points stepped from, the last
-    point reached, and the number of steps taken.
+    point reached, and the number of steps taken.  The next point is formed
+    only when the step goes on: most steps of a warm-started trajectory
+    certify their start point.
     """
     history = []
     for steps in range(1, budget + 1):
-        ynew, s, res = _lazy_step(kA, y, k)
+        u, s, res = _lazy_step(kA, y, k)
         if res < best[0]:
             best = (res, y, s)
         if res < _TOL:
             break
         history.append(res)
-        y = ynew
+        y = _averaged(u, y, s)
         if len(history) > _STALL_WINDOW and res > 0.75 * history[-_STALL_WINDOW]:
             break
     return best, y, steps
@@ -299,14 +307,16 @@ def _accelerate(kA: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
             xcol[...] = x
             _log_matmul_into(B3, Bx, T, m, P3)
             xnew = step - step.item(0)
-            # the GEMM branch's two tests on lists, cheaper at small n.  Past
-            # the first, xnew is finite, so |xnew - x| is NaN only where x
-            # is, and x never is: a NaN in y makes c0, so the first step, NaN.
-            # So a max on a list, which can skip a NaN, gives np.max's value
-            if not all(map(math.isfinite, xnew.tolist())):
+            # the GEMM branch's two tests on one list, cheaper at small n.
+            # x is finite: y is a lazy step's point on a finite k*A inside
+            # _HEADROOM, and each later x passed this test.  x and xnew are
+            # normalized steps with coordinates within about 4K of 0 (see
+            # _HEADROOM), so xnew - x is finite exactly where xnew is, and
+            # the largest |xnew - x| on the list is np.max's value
+            d = (xnew - x).tolist()
+            if not all(map(math.isfinite, d)):
                 break
-            d = xnew - x
-            delta = max(np.abs(d, d).tolist())
+            delta = max(map(abs, d))
         else:
             r, E = _row_scaled(B)
             xnew = _log_matvec_scaled(B, r, E, x)

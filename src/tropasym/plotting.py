@@ -8,6 +8,16 @@ block-sized float arrays at any grid.  Each cell's distance comes from the
 same float operations as `core.span_distance`, so its verdict at
 `REGION_TOL` is the one the scalar test gives.  Exactness lives in the
 membership test; pixels are presentation.
+
+Only cells near the generators' coordinatewise bounding box are tested.
+The generators g_j are pinned to g_j0 = 0, and a point p = (0, x, y) has
+the projection proj_i = max_j(lam_j + g_ji) with proj_0 = max_j lam_j, so
+proj_i - proj_0 lies between min_j g_ji and max_j g_ji: the normalized
+span lies inside the box (tropical convexity; Develin and Sturmfels,
+"Tropical convexity", 2004).  A cell whose coordinate lies d outside the
+box is therefore at distance at least d from the span, and the raster
+skips every row and column farther out than a margin that exceeds
+`REGION_TOL` plus the float rounding of a cell's distance.
 """
 
 from __future__ import annotations
@@ -92,36 +102,59 @@ def render_eigenspace_svg(
     # elementwise: lam_j = min(0 - g_j0, x - g_j1, y - g_j2),
     # proj_i = max_j(lam_j + g_ji) (a max is exact in any order),
     # dist = max_i |p_i - (proj_i - proj_0)|, whose i = 0 term is exactly 0.
-    # Temporaries are one workspace of five (rows, grid) float arrays, at
-    # most 2.5 MB: rows * grid <= _RASTER_CELLS unless one row exceeds it
+    # Only lattice rows and columns within `margin` of the generators'
+    # bounding box are tested (see the module docstring).  The tested
+    # coordinates are slices of the whole window's lattice xs and ys, so a
+    # tested cell sees the values and operations of a full-window pass.
+    #
+    # The margin.  Let U bound every |coordinate| of the window, hence of
+    # the generators, and u = eps / 2.  A computed lam_j lies in [-2U, 0],
+    # so a sum lam_j + g_ji rounds by at most 3uU, and lam_j + g_j0 is
+    # lam_j exactly (g_j0 = 0).  So proj_i lies within 3uU of
+    # [proj_0 + min_j g_ji, proj_0 + max_j g_ji], and proj_i - proj_0
+    # rounds by at most uU more.  A cell whose coordinate i lies d outside
+    # the box gets |p_i - (proj_i - proj_0)| >= (d - 4uU)(1 - u) > REGION_TOL
+    # once d > 1.01 REGION_TOL + 4.01uU.  The box edges below round by at
+    # most u(U + margin) and a lattice coordinate exceeds U by at most 2uU,
+    # so margin = 2 REGION_TOL + 16uU leaves every untested cell outside.
+    # Temporaries are one workspace of five (rows, width) float arrays, at
+    # most 2.5 MB: rows * width <= _RASTER_CELLS unless one row exceeds it
     g = np.array(gens)
     xs = x_lo + np.arange(grid) * dx
-    # min(0 - g_j0, x - g_j1), the same on every row: (len(gens), grid)
+    ys = y_lo + np.arange(grid) * dy
+    big = max(abs(x_lo), abs(x_hi), abs(y_lo), abs(y_hi))
+    margin = 2 * REGION_TOL + 8 * np.finfo(float).eps * big  # big is U, 8 eps is 16u
+    # the lattice coordinates rise with the index: each box is a slice
+    ix0, ix1 = np.searchsorted(xs, (g[:, 1].min() - margin, g[:, 1].max() + margin))
+    iy0, iy1 = np.searchsorted(ys, (g[:, 2].min() - margin, g[:, 2].max() + margin))
+    xs = xs[ix0:ix1]
+    width = len(xs)
+    # min(0 - g_j0, x - g_j1), the same on every row: (len(gens), width)
     lam_x = np.minimum((0.0 - g[:, 0])[:, None], xs - g[:, 1][:, None])
     rows = max(1, _RASTER_CELLS // grid)
-    work = np.empty((5, min(rows, grid), grid))
+    work = np.empty((5, min(rows, iy1 - iy0), width))
     h = dy * scale
-    for iy0 in range(0, grid, rows):
-        ys = y_lo + np.arange(iy0, min(iy0 + rows, grid))[:, None] * dy
-        block = work[:, : len(ys)]
+    for row0 in range(iy0, iy1, rows):
+        ys_b = ys[row0 : min(row0 + rows, iy1), None]
+        block = work[:, : len(ys_b)]
         block[2:] = -np.inf  # max(-inf, v) is v: the proj_i start empty
         lam, tmp, p0, p1, p2 = block
         for lam_xj, gj in zip(lam_x, g):
-            np.minimum(lam_xj, ys - gj[2], out=lam)
+            np.minimum(lam_xj, ys_b - gj[2], out=lam)
             for p, gji in zip((p0, p1, p2), gj):
                 np.maximum(p, np.add(lam, gji, out=tmp), out=p)
         np.abs(np.subtract(xs, np.subtract(p1, p0, out=p1), out=p1), out=p1)
-        np.abs(np.subtract(ys, np.subtract(p2, p0, out=p2), out=p2), out=p2)
-        inside = np.zeros((len(ys), grid + 2), dtype=bool)  # False pads close runs
+        np.abs(np.subtract(ys_b, np.subtract(p2, p0, out=p2), out=p2), out=p2)
+        inside = np.zeros((len(ys_b), width + 2), dtype=bool)  # False pads close runs
         np.less_equal(np.maximum(p1, p2, out=p1), REGION_TOL, out=inside[:, 1:-1])
         # an even number of edges per padded row: consecutive pairs are the
-        # (start, stop) of each run, rows in order
+        # (start, stop) of each run, rows in order, columns from ix0
         edge_rows, edge_cols = np.nonzero(inside[:, 1:] != inside[:, :-1])
-        edge_cols = edge_cols.tolist()
+        edge_cols = (edge_cols + ix0).tolist()
         for r, start, stop in zip(
             edge_rows[::2].tolist(), edge_cols[::2], edge_cols[1::2]
         ):
-            px0, py0 = to_px(x_lo + start * dx, y_lo + (iy0 + r + 1) * dy)
+            px0, py0 = to_px(x_lo + start * dx, y_lo + (row0 + r + 1) * dy)
             w = (stop - start) * dx * scale
             parts.append(
                 f'<rect x="{px0:.2f}" y="{py0:.2f}" '

@@ -4,6 +4,7 @@ import json
 import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from tropasym import (
@@ -511,6 +512,27 @@ class TestConjecturesCommand:
         assert (code, out, err) == (1, "", "error: eigenspace is not a translation chain\n")
         assert not ds.exists()
 
+    def test_a_wrong_flag_on_one_generator_ends_the_campaign(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import tropasym.conjectures
+        from tropasym.spectral import _batch_chains
+
+        def flag_single_class(W):
+            lam, critical, _ = _batch_chains(W)
+            # the campaign draws on the integer grid: denominator 1
+            mats = [TropicalMatrix(tuple(map(tuple, w.tolist())), 1) for w in W]
+            single = [len(spectral_data(A).generators) == 1 for A in mats]
+            return lam, critical, np.array(single)
+
+        # conjecture1_test holds on one generator (the degenerate chain), so
+        # only the campaign can tell that the screen should not have let it in
+        monkeypatch.setattr(tropasym.conjectures, "_batch_chains", flag_single_class)
+        ds = tmp_path / "g.jsonl"
+        code, out, err = run(self.ARGS + ["--seed", "42", "--dataset", str(ds)], capsys)
+        assert (code, out, err) == (1, "", "error: eigenspace is not a translation chain\n")
+        assert not ds.exists()
+
     def test_zero_counts(self, tmp_path, monkeypatch, capsys):
         import tropasym.cli
 
@@ -575,6 +597,7 @@ def pinned_outputs(tmp_path, capsys) -> dict[str, str]:
     for name, matrix in (("FIG2", FIG2), ("FIG6", FIG6), ("FIG7", FIG7), ("CEX", CEX)):
         sd = spectral_data(TropicalMatrix.from_rows(json.loads(matrix)))
         out[f"region {name}"] = _sha(render_eigenspace_svg(sd, None, 160))
+        out[f"region {name} grid 400"] = _sha(render_eigenspace_svg(sd, None, 400))
     ds = tmp_path / "pinned.jsonl"
     code, text, _ = run(
         ["conjectures", "--seed", "42", "--chains", "20", "--families", "5",
@@ -640,6 +663,11 @@ class TestFixedSeedOutputs:
         "region FIG6": "24f69c6f34367279",
         "region FIG7": "31375aefca74ab6d",
         "region CEX": "81cbb5241769d7e5",
+        # the CLI's default grid
+        "region FIG2 grid 400": "4b17f3fbe65820bc",
+        "region FIG6 grid 400": "433ce4199f5eee15",
+        "region FIG7 grid 400": "7c44f5c8937d484f",
+        "region CEX grid 400": "1acf99b07774b6e6",
     }
 
     def test_outputs_unchanged(self, tmp_path, capsys):

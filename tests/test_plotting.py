@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from tropasym import plotting, random_matrix, spectral_data
+from tropasym import TropicalMatrix, plotting, random_matrix, spectral_data
 from tropasym.plotting import REGION_TOL, render_eigenspace_svg
 
 from _oracles import region_rects
@@ -32,8 +32,10 @@ def test_rejects_other_sizes_and_coarse_grids():
 
 @pytest.mark.parametrize("grid", [2, 17, 64])
 def test_region_matches_per_cell_oracle(grid, monkeypatch):
-    # blocks of the default size, of one row, and of 5 rows, which leaves a
-    # partial last block at grid 17 and 64
+    # blocks of the default size, of one row, and of 5 rows.  The block
+    # height still comes from the grid, so these sizes hold on the tested
+    # sub-grid too, whose 6 to 14 rows at grid 17 and 21 to 55 at grid 64
+    # leave partial last blocks of 5 rows
     for seed in SEEDS:
         sd = spectral_data(random_matrix(3, seed=seed))
         gens = [g.to_floats() for g in sd.generators]
@@ -58,3 +60,23 @@ def test_raster_memory_stays_below_a_lattice_tensor():
     finally:
         tracemalloc.stop()
     assert peak < grid * grid * 3 * 8  # one (grid, grid, 3) float64 tensor
+
+
+
+@pytest.mark.parametrize(
+    "seed, factor, grid",
+    [
+        (1, 1, 33),  # a full region on an odd grid
+        (0, 1, 33),  # one generator between lattice points: an empty raster
+        (1, 10**9, 40),  # entries near 1e9, where the skip margin grows with them
+        (13, 10**9, 33),
+    ],
+)
+def test_region_matches_oracle_off_the_default_cases(seed, factor, grid):
+    A = random_matrix(3, seed=seed)
+    nums = tuple(tuple(factor * x for x in row) for row in A.nums)
+    sd = spectral_data(TropicalMatrix(nums, A.den))
+    gens = [g.to_floats() for g in sd.generators]
+    expected = region_rects(gens, grid, REGION_TOL)
+    assert _region_lines(render_eigenspace_svg(sd, None, grid)) == expected
+    assert (expected == []) == (len(gens) == 1)
