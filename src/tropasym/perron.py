@@ -81,16 +81,17 @@ _HEADROOM = 9.0
 
 # below this n the accelerator's products use the row-blocked kernel, one per
 # round with the power step as an extra column: below it the GEMM's 2n^2
-# exponentials save little on numpy's per-call cost (a round's products,
-# the fused one over GEMV plus GEMM, best of 7 on 2 cores: x0.4 at n=3, x0.7
-# at 8, x1.1 at 12, x1.7-1.8 at 16, x3.4-3.7 at 24).  Moving it would move
-# trajectories by rounding at the sizes between the old and the new cut-over
+# exponentials save little on numpy's per-call cost (a round's products, the
+# fused one over the GEMM branch's two when its power step was a GEMV, best
+# of 7 on 2 cores: x0.4 at n=3, x0.7 at 8, x1.1 at 12, x1.7-1.8 at 16,
+# x3.4-3.7 at 24).  Moving it would move trajectories by rounding at the
+# sizes between the old and the new cut-over
 _GEMM_MIN_N = 16
 
-# a row with a scaled GEMM entry below this goes back to the row-blocked
-# kernel, and a power-step row with a scaled GEMV sum below it to _lse_rows:
-# a term that exp flushes to zero is below e^-745 of its row and column
-# maxima, while an entry of at least 1e-280 (about e^-645) loses nothing to
+# a row with a scaled GEMM entry below this, in the square or in the power
+# step (its one-column case), goes back to the row-blocked kernel: a term
+# that exp flushes to zero is below e^-745 of its row and column maxima,
+# while an entry of at least 1e-280 (about e^-645) loses nothing to
 # underflow beyond rounding
 _GEMM_UNDERFLOW = 1e-280
 
@@ -137,12 +138,14 @@ def _log_matmul_scaled(
     out = r + c + log(E @ exp(C - c)), which takes 2n^2 exponentials where
     the row-blocked kernel takes n^3.
 
-    The accelerator passes the E its power step already took.  Every term of
-    the scaled GEMM is at most 1, so nothing overflows, but a term far below
-    its row and column maxima underflows: the rows in which some entry falls
-    below _GEMM_UNDERFLOW, where a lost term could matter, are recomputed by
-    the row-blocked kernel.  The GEMM sums in another order than the
-    row-blocked kernel, so the two agree to rounding, not bit for bit.
+    The accelerator makes r and E once per round and passes them to both of
+    its products: the power step, C = x[:, None], and the square, C = B.
+    Every term of the scaled GEMM is at most 1, so nothing overflows, but a
+    term far below its row and column maxima underflows: the rows in which
+    some entry falls below _GEMM_UNDERFLOW, where a lost term could matter,
+    are recomputed by the row-blocked kernel.  The GEMM sums in another
+    order than the row-blocked kernel, so the two agree to rounding, not bit
+    for bit.
     """
     c = _max(C, axis=0)
     P = E @ np.exp(C - c)
@@ -154,29 +157,6 @@ def _log_matmul_scaled(
     out += r[:, None] + c
     if len(low):
         out[low] = _log_matmul_blocked(B[low], C)
-    return out
-
-
-def _log_matvec_scaled(
-    B: np.ndarray, r: np.ndarray, E: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    """The power step logsumexp_j(B_ij + x_j) from B's row maxima r and
-    E = exp(B - r): one GEMV.
-
-    With m = max(x) it is r + m + log(E @ exp(x - m)), n exponentials where
-    _lse_rows(B + x) takes n^2.  A row whose scaled sum falls below
-    _GEMM_UNDERFLOW may have lost a term, so it is recomputed by _lse_rows.
-    """
-    m = _max(x)
-    s = E @ np.exp(x - m)
-    low = ()
-    if np.minimum.reduce(s) < _GEMM_UNDERFLOW:
-        low = np.flatnonzero(s < _GEMM_UNDERFLOW)
-        s[low] = 1.0  # recomputed below, as in _log_matmul_scaled
-    out = np.log(s, out=s)
-    out += r + m
-    if len(low):
-        out[low] = _lse_rows(B[low] + x)
     return out
 
 
@@ -279,11 +259,12 @@ def _accelerate(kA: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     columns 0..n-1 and the power step in column n: one product per round,
     _log_matmul_into work buffers allocated once per call.
     From _GEMM_MIN_N on, a round takes B's row maxima r and E = exp(B - r)
-    once: the power step is a GEMV with E, and the square GEMM that squares
-    B, when the round goes on, takes E as its left operand, so a round costs
-    2n^2 + n exponentials.  The power step stays out of the GEMM: at n=200
-    an n x (n+1) GEMM split its sums differently at 1 and 2 BLAS threads,
-    where the square one agrees.
+    once and makes two _log_matmul_scaled products with them: the power step
+    as the one-column product with x, and, when the round goes on, the
+    square, so a round costs 2n^2 + n exponentials and underflowed rows of
+    either product go to the row-blocked kernel.  The power step stays a
+    product of its own: at n=200 an n x (n+1) GEMM split its sums
+    differently at 1 and 2 BLAS threads, where the square one agrees.
     """
     n = kA.shape[0]
     u = _lse_rows(kA + y)
@@ -319,7 +300,7 @@ def _accelerate(kA: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
             delta = max(map(abs, d))
         else:
             r, E = _row_scaled(B)
-            xnew = _log_matvec_scaled(B, r, E, x)
+            xnew = _log_matmul_scaled(B, r, E, x[:, None])[:, 0]
             xnew -= xnew[0]
             if not np.logical_and.reduce(np.isfinite(xnew)):
                 break

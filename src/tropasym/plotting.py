@@ -84,9 +84,10 @@ def render_eigenspace_svg(
             _SIZE - _MARGIN - (y - cy_lo) * scale,  # SVG y axis points down
         )
 
-    # cells are evaluated at their lower-left lattice point; with rational
-    # inputs the generators land exactly on the lattice, so degenerate
-    # (segment or point shaped) regions still light up
+    # cells are evaluated at their lower-left lattice point, so a degenerate
+    # (segment or point shaped) region lights up only where the lattice meets
+    # it: a generator lies on a lattice point only when the grid puts it
+    # there (figure-6's one point draws a cell at grid 400, none at 399 or 401)
     dx = (x_hi - x_lo) / grid
     dy = (y_hi - y_lo) / grid
     parts = [

@@ -111,7 +111,11 @@ def schur_sequence(B: TropicalMatrix) -> list[SchurLevel]:
     nothing.  Later levels leave that cache alone.
     """
     _require_min_plus(B, "schur_sequence")
-    A = B.negate()
+    return _levels(B, B.negate())
+
+
+def _levels(B: TropicalMatrix, A: TropicalMatrix) -> list[SchurLevel]:
+    """`schur_sequence(B)` from A = `B.negate()`, which the caller made once."""
     n, den = A.n, A.den
     sd = spectral_data(A)
     W = A._array
@@ -171,7 +175,8 @@ def candidate_exponents(B: TropicalMatrix) -> SchurReport:
     converges is turned into `b_hat` and the star's `TropicalMatrix`.
     """
     _require_min_plus(B, "candidate_exponents")
-    levels = schur_sequence(B)
+    A = B.negate()
+    levels = _levels(B, A)
     removal_level: dict[int, Fraction] = {}
     for lv in levels:
         for cls in lv.removed_classes:
@@ -185,7 +190,7 @@ def candidate_exponents(B: TropicalMatrix) -> SchurReport:
         removal_level[i].numerator * (den // removal_level[i].denominator)
         for i in range(n)
     ]
-    W = B.negate()._array
+    W = A._array
     bound = 2 * n * (f * max(int(W.max()), -int(W.min())) + max(map(abs, drop)))
     dtype = _int_dtype(bound)
     W_hat = f * W.astype(dtype, copy=False) + np.array(drop, dtype=dtype)[:, None]

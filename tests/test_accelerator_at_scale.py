@@ -15,7 +15,8 @@
   fuses the power step in gave different n=200 trajectories at 1 and 2
   threads.
 - The GEMM path (from n=16: one exp(B - r) per accelerator round, for the
-  GEMV power step and the squaring's GEMM) against trajectory_oracle, whose
+  power step's one-column GEMM and the squaring's GEMM, whose underflowed
+  rows both go to the row-blocked kernel) against trajectory_oracle, whose
   power step is a separate _lse_rows pass, on 40 seeded zero-diagonal
   half-grid matrices at the perron workload's sizes, n=16..72.
 

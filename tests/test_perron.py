@@ -486,7 +486,11 @@ class TestLogMatmul:
         # rows 3 and 5 of B sit 900 and 700 below their maximum but for one
         # entry, whose row of C sits 900 (row 3) or, in its first 12 columns,
         # 700 (row 5) below the column maxima: scaled GEMM row 3 is all zeros
-        # and row 5 has 12 entries near 1e-303 and 12 above 1e-3
+        # and row 5 has 12 entries near 1e-303 and 12 above 1e-3.  The second
+        # right operand, x = C's first column, is the accelerator's power step
+        # as the one-column case of the same product: row 3's scaled sum is 0
+        # and row 5's near 1e-304, and both rows equal those of _lse_rows, the
+        # lazy step's kernel, bit for bit
         n = 24
         rng = np.random.default_rng(5)
         B = rng.uniform(-5.0, 0.0, (n, n))
@@ -497,6 +501,7 @@ class TestLogMatmul:
         B[5] = -700.0
         B[5, 1] = 0.0
         C[1, :12] = -700.0
+        x = C[:, :1]
         fallback_rows = []
         blocked = perron._log_matmul_blocked
 
@@ -505,56 +510,27 @@ class TestLogMatmul:
             return blocked(X, Y)
 
         monkeypatch.setattr(perron, "_log_matmul_blocked", recording)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = gemm_log_matmul(B, C)
-        want = log_matmul_oracle(B, C)
-        assert fallback_rows == [2]
-        assert np.array_equal(got[[3, 5]], want[[3, 5]])
         rest = np.delete(np.arange(n), [3, 5])
-        assert np.abs(got[rest] - want[rest]).max() <= gemm_bound(B, C)
-
-    def test_power_step_underflowed_rows_fall_back_to_lse_rows(self, monkeypatch):
-        # rows 3 and 5 of B sit 900 and 700 below their maximum but for one
-        # entry, whose coordinate of x sits 900 (row 3) or 700 (row 5) below
-        # max(x): every term of row 3 is more than 745 below r_3 + max(x), so
-        # its scaled GEMV sum is 0, and row 5's is near 1e-304
-        n = 24
-        rng = np.random.default_rng(6)
-        B = rng.uniform(-5.0, 0.0, (n, n))
-        x = rng.uniform(-5.0, 0.0, n)
-        B[3] = -900.0
-        B[3, 0] = 0.0
-        x[0] = -900.0
-        B[5] = -700.0
-        B[5, 1] = 0.0
-        x[1] = -700.0
-        fallback_rows = []
-        lse_rows = perron._lse_rows
-
-        def recording(X):
-            fallback_rows.append(len(X))
-            return lse_rows(X)
-
-        monkeypatch.setattr(perron, "_lse_rows", recording)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = perron._log_matvec_scaled(B, *perron._row_scaled(B), x)
-        assert fallback_rows == [2]
-        for i in (3, 5):
-            assert np.array_equal(got[[i]], lse_rows(B[[i]] + x))
-        want = log_matmul_oracle(B, x[:, None])[:, 0]
-        rest = np.delete(np.arange(n), [3, 5])
-        assert np.abs(got[rest] - want[rest]).max() <= gemm_bound(B, x[:, None])
+        for Y in (C, x):
+            fallback_rows.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = gemm_log_matmul(B, Y)
+            want = log_matmul_oracle(B, Y)
+            assert fallback_rows == [2]
+            assert np.array_equal(got[[3, 5]], want[[3, 5]])
+            assert np.abs(got[rest] - want[rest]).max() <= gemm_bound(B, Y)
+        for i in (3, 5):  # got is the power step's
+            assert np.array_equal(got[i], perron._lse_rows(B[[i]] + x[:, 0]))
 
     def test_trajectory_bit_identical_under_oracle(self, monkeypatch):
         # bit for bit below the GEMM cut-over (n=3), where each round is one
         # row-blocked product, _log_matmul_into the accelerator's buffers.
-        # From the cut-over (n=24, 40, 16) the GEMV power step and the GEMM
-        # sum in another order than trajectory_oracle, whose power step is a
-        # separate _lse_rows pass, so the samples must agree in k and
-        # iterations and their points and eigenvalues within the solver's
-        # own certification tolerance
+        # From the cut-over (n=24, 40, 16) the GEMM branch's scaled products,
+        # the one-column power step and the square, sum in another order than
+        # trajectory_oracle, whose power step is a separate _lse_rows pass,
+        # so the samples must agree in k and iterations and their points and
+        # eigenvalues within the solver's own certification tolerance
         rng = np.random.default_rng(11)
         half_grid = -0.5 * np.arange(1, 13)  # -1/2, -1, ..., -6
         products = {"blocked": 0, "gemm": 0}
@@ -605,12 +581,12 @@ class TestLogMatmul:
             tracemalloc.stop()
         assert peak < cube
 
-        squarings = 0
+        scaled_products = 0  # power steps and squares
         gemm = perron._log_matmul_scaled
 
         def counting(B, r, E, C):
-            nonlocal squarings
-            squarings += 1
+            nonlocal scaled_products
+            scaled_products += 1
             return gemm(B, r, E, C)
 
         monkeypatch.setattr(perron, "_log_matmul_scaled", counting)
@@ -620,5 +596,5 @@ class TestLogMatmul:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert squarings > 0 and not traj.failures
+        assert scaled_products > 0 and not traj.failures
         assert peak < cube

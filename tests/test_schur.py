@@ -197,6 +197,25 @@ class TestCandidates:
                 return
             # some positive-eigenvalue draws still converge; keep sampling
 
+    def test_direct_min_plus_input_negated_once_per_call(self, monkeypatch):
+        # a B built directly, not as A.negate(), has no negation to return:
+        # each negate() builds a max-plus matrix and reads its numerators
+        # into an array again, so the pipeline runs on one negation per call
+        B = minplus([[0, 5], [5, 1]])
+        negations = []
+        negate = TropicalMatrix.negate
+
+        def counting(self):
+            if self is B:
+                negations.append(self)
+            return negate(self)
+
+        monkeypatch.setattr(TropicalMatrix, "negate", counting)
+        for pipeline in (schur_sequence, candidate_exponents):
+            negations.clear()
+            pipeline(B)
+            assert len(negations) == 1, pipeline.__name__
+
 
 @pytest.fixture(scope="module")
 def cex_estimate():
