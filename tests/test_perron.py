@@ -486,11 +486,7 @@ class TestLogMatmul:
         # rows 3 and 5 of B sit 900 and 700 below their maximum but for one
         # entry, whose row of C sits 900 (row 3) or, in its first 12 columns,
         # 700 (row 5) below the column maxima: scaled GEMM row 3 is all zeros
-        # and row 5 has 12 entries near 1e-303 and 12 above 1e-3.  The second
-        # right operand, x = C's first column, is the accelerator's power step
-        # as the one-column case of the same product: row 3's scaled sum is 0
-        # and row 5's near 1e-304, and both rows equal those of _lse_rows, the
-        # lazy step's kernel, bit for bit
+        # and row 5 has 12 entries near 1e-303 and 12 above 1e-3
         n = 24
         rng = np.random.default_rng(5)
         B = rng.uniform(-5.0, 0.0, (n, n))
@@ -501,7 +497,6 @@ class TestLogMatmul:
         B[5] = -700.0
         B[5, 1] = 0.0
         C[1, :12] = -700.0
-        x = C[:, :1]
         fallback_rows = []
         blocked = perron._log_matmul_blocked
 
@@ -510,18 +505,50 @@ class TestLogMatmul:
             return blocked(X, Y)
 
         monkeypatch.setattr(perron, "_log_matmul_blocked", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gemm_log_matmul(B, C)
+        want = log_matmul_oracle(B, C)
+        assert fallback_rows == [2]
+        assert np.array_equal(got[[3, 5]], want[[3, 5]])
         rest = np.delete(np.arange(n), [3, 5])
-        for Y in (C, x):
-            fallback_rows.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = gemm_log_matmul(B, Y)
-            want = log_matmul_oracle(B, Y)
-            assert fallback_rows == [2]
-            assert np.array_equal(got[[3, 5]], want[[3, 5]])
-            assert np.abs(got[rest] - want[rest]).max() <= gemm_bound(B, Y)
-        for i in (3, 5):  # got is the power step's
-            assert np.array_equal(got[i], perron._lse_rows(B[[i]] + x[:, 0]))
+        assert np.abs(got[rest] - want[rest]).max() <= gemm_bound(B, C)
+
+    def test_power_step_underflowed_rows_fall_back_to_lse_rows(self, monkeypatch):
+        # the accelerator's power step from the GEMM cut-over is the
+        # one-column case of the scaled product.  Rows 3 and 5 of B sit 900
+        # and 700 below their maximum but for one entry, whose coordinate of x
+        # sits 900 (row 3) or 700 (row 5) below max(x): row 3's scaled sum is
+        # 0 and row 5's near 1e-304, so both go to the row-blocked kernel like
+        # the square's, and equal those of _lse_rows, the lazy step's kernel,
+        # bit for bit
+        n = 24
+        rng = np.random.default_rng(6)
+        B = rng.uniform(-5.0, 0.0, (n, n))
+        x = rng.uniform(-5.0, 0.0, n)
+        B[3] = -900.0
+        B[3, 0] = 0.0
+        x[0] = -900.0
+        B[5] = -700.0
+        B[5, 1] = 0.0
+        x[1] = -700.0
+        fallback_rows = []
+        blocked = perron._log_matmul_blocked
+
+        def recording(X, Y):
+            fallback_rows.append(len(X))
+            return blocked(X, Y)
+
+        monkeypatch.setattr(perron, "_log_matmul_blocked", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gemm_log_matmul(B, x[:, None])[:, 0]
+        assert fallback_rows == [2]
+        for i in (3, 5):
+            assert np.array_equal(got[[i]], perron._lse_rows(B[[i]] + x))
+        want = log_matmul_oracle(B, x[:, None])[:, 0]
+        rest = np.delete(np.arange(n), [3, 5])
+        assert np.abs(got[rest] - want[rest]).max() <= gemm_bound(B, x[:, None])
 
     def test_trajectory_bit_identical_under_oracle(self, monkeypatch):
         # bit for bit below the GEMM cut-over (n=3), where each round is one
