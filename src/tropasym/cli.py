@@ -36,9 +36,6 @@ from .schur import candidate_exponents, compare_prediction, report_to_json
 from .spectral import spectral_data
 
 
-# largest sup-norm gap at which a measured limit matches its prediction
-_MATCH_TOL = 1e-2
-
 # random draws a conjectures campaign may make to find its counts
 _MAX_ATTEMPTS = 20000
 
@@ -113,7 +110,7 @@ def cmd_schur(args) -> int:
     report = candidate_exponents(A.negate())
     traj = normalized_trajectory(A.to_floats(), schedule)
     est = estimate_p_infinity(traj)
-    verdicts = compare_prediction(A, report, est, tol=_MATCH_TOL)
+    verdicts = compare_prediction(report, est)
     _emit(report_to_json(report, verdicts), args.out)
     return 0
 
@@ -155,15 +152,17 @@ def cmd_conjectures(args) -> int:
         raise ValueError("--seed is required for randomized commands")
     if min(args.chains, args.families) < 0 or args.chains == args.families == 0:
         raise ValueError("--chains and --families must be at least 0, and not both 0")
-    if args.perturbations < 1:
-        raise ValueError("--perturbations must be at least 1")
+    # a family's perturbations are distinct single-entry candidates of a 3 x 3 base
+    candidates = len(conj._candidate_moves(3)[0])
+    if not 1 <= args.perturbations <= candidates:
+        raise ValueError(f"--perturbations must be at least 1 and at most {candidates}")
     schedule = geometric_schedule(args.doublings)
     rng = random.Random(args.seed)
     report: dict = {"seed": args.seed}
 
     # the family loop continues the stream after the last chain drawn
     chains, attempts = conj._sample_chains(rng, args.chains, _MAX_ATTEMPTS)
-    c1_verdicts = [conj.conjecture1_test(A, tol=_MATCH_TOL, schedule=schedule) for A in chains]
+    c1_verdicts = [conj.conjecture1_test(A, schedule) for A in chains]
     # conjecture1_test also takes one generator as the degenerate chain, which
     # the screen's rule excludes: an admitted one is a wrong flag
     if any(len(v.spectra[0].generators) < 2 for v in c1_verdicts):
@@ -180,7 +179,7 @@ def cmd_conjectures(args) -> int:
         if len(perts) < args.perturbations:
             continue
         bases.append(A)
-        c2_verdicts.append(conj.conjecture2_test(A, perts, tol=_MATCH_TOL, schedule=schedule))
+        c2_verdicts.append(conj.conjecture2_test(A, perts, schedule))
     report["conjecture2"] = _verdict_summary(c2_verdicts)
     if len(chains) < args.chains or len(bases) < args.families:
         raise ValueError(
@@ -192,14 +191,13 @@ def cmd_conjectures(args) -> int:
         (A, v.spectra[0], v.estimates[0], args.seed)
         for A, v in zip(chains + bases, c1_verdicts + c2_verdicts)
     ]
-    dataset_path = args.dataset or "g_samples.jsonl"
-    conj.export_samples(dataset_rows, dataset_path)
-    report["dataset"] = {"path": dataset_path, "rows": len(dataset_rows)}
+    conj.export_samples(dataset_rows, args.dataset)
+    report["dataset"] = {"path": args.dataset, "rows": len(dataset_rows)}
 
     try:
         _emit(json.dumps(report, indent=2), args.out)
     except OSError:
-        Path(dataset_path).unlink()  # a failed campaign leaves no dataset
+        Path(args.dataset).unlink()  # a failed campaign leaves no dataset
         raise
     return 0
 
@@ -248,17 +246,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--chains", type=int, default=20, help="chain matrices to test")
     sp.add_argument("--families", type=int, default=5, help="perturbation families to test")
     sp.add_argument("--perturbations", type=int, default=3)
-    sp.add_argument("--dataset", help="path for the JSON-lines sample dataset")
+    sp.add_argument("--dataset", default="g_samples.jsonl", help="JSON-lines sample dataset")
     sp.set_defaults(func=cmd_conjectures)
 
     return p
 
 
 def _check_output_dirs(args):
-    """Refuse, before any solving, an output whose directory does not exist."""
-    for out in (args.out, getattr(args, "dataset", None)):
-        if out and not Path(out).parent.is_dir():
+    """Refuse, before any solving, an output whose directory does not exist,
+    and a campaign report that would overwrite the campaign's dataset."""
+    outs = [out for out in (args.out, getattr(args, "dataset", None)) if out]
+    for out in outs:
+        if not Path(out).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    if len(outs) == 2 and Path(outs[0]).resolve() == Path(outs[1]).resolve():
+        raise ValueError(f"--out and --dataset are one file: {args.out}")
 
 
 def main(argv=None) -> int:

@@ -33,6 +33,7 @@ from .core import (
 from .perron import (
     EstimateError,
     PinfEstimate,
+    _MATCH_TOL,
     estimate_p_infinity,
     normalized_trajectory,
 )
@@ -68,7 +69,8 @@ class TranslationChain:
 @dataclass(frozen=True)
 class ConjectureVerdict:
     """Outcome of one test; `estimates` are the measured limits and `spectra`
-    the tested matrices' spectral data, `A` first in both."""
+    the tested matrices' spectral data, `A` first in both.  `holds` when the
+    points compared lie within 1e-2 of each other in the sup norm."""
 
     holds: bool
     witness: dict
@@ -127,11 +129,7 @@ def _estimates(family, gens, schedule) -> tuple[PinfEstimate, ...]:
     return tuple(estimates)
 
 
-def conjecture1_test(
-    A: TropicalMatrix,
-    tol: float,
-    schedule: Sequence[float],
-) -> ConjectureVerdict:
+def conjecture1_test(A: TropicalMatrix, schedule: Sequence[float]) -> ConjectureVerdict:
     """Chain prediction vs measured limit; rejects matrices without a chain."""
     sd = spectral_data(A)
     chain = translation_chain(sd.generators)
@@ -141,7 +139,7 @@ def conjecture1_test(
     predicted = [float(x) for x in chain.predicted.coords]
     dist = max(abs(a - b) for a, b in zip(predicted, est.point.coords))
     return ConjectureVerdict(
-        holds=dist <= tol,
+        holds=dist <= _MATCH_TOL,
         witness={
             "matrix": [[str(x) for x in row] for row in A.entries],
             "predicted": predicted,
@@ -215,7 +213,7 @@ def _perturbation_draws(n: int, rng: random.Random, budget: int):
     candidate has been drawn."""
     # distinct (entry, delta) draws give distinct matrices; once every one of
     # them has been tried, further draws cannot add a member
-    candidates = n * (n - 1) * 2 * _MAX_STEP
+    candidates = len(_candidate_moves(n)[0])
     tried: set[tuple[int, int, int]] = set()
     for _ in range(budget):
         if len(tried) == candidates:
@@ -251,7 +249,6 @@ def _candidate_moves(n: int):
 def conjecture2_test(
     A: TropicalMatrix,
     perturbed: Sequence[TropicalMatrix],
-    tol: float,
     schedule: Sequence[float],
 ) -> ConjectureVerdict:
     """All members of an equal-eigenspace family must share one limit."""
@@ -272,7 +269,7 @@ def conjecture2_test(
                 worst, max(abs(a - b) for a, b in zip(points[i], points[j]))
             )
     return ConjectureVerdict(
-        holds=worst <= tol,
+        holds=worst <= _MATCH_TOL,
         witness={
             "matrices": [[[str(x) for x in row] for row in M.entries] for M in family],
             "pinf_points": points,

@@ -358,6 +358,10 @@ class PerronTrajectory:
     failures: tuple[FailedSample, ...] = ()
 
 
+# largest sup-norm gap at which a measured limit matches its prediction
+_MATCH_TOL = 1e-2
+
+
 @dataclass(frozen=True)
 class PinfEstimate:
     point: FloatPoint

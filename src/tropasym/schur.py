@@ -39,7 +39,7 @@ from .core import (
     _star,
     in_span,
 )
-from .perron import PinfEstimate
+from .perron import PinfEstimate, _MATCH_TOL
 from .spectral import _normalized_closure, spectral_data
 
 
@@ -217,19 +217,15 @@ class CandidateVerdict:
     matches_pinf: bool
 
 
-def compare_prediction(
-    A: TropicalMatrix,
-    report: SchurReport,
-    pinf: PinfEstimate,
-    tol: float,
-) -> list[CandidateVerdict]:
+def compare_prediction(report: SchurReport, pinf: PinfEstimate) -> list[CandidateVerdict]:
     """Check each candidate against the exact eigenspace and the measured limit.
 
-    A is the max-plus matrix whose asymptotics are under study (the negation
-    of the pipeline's base matrix).  Membership is exact; the limit match is
-    a sup-norm comparison at the given tolerance.
+    The matrix under study is A = `report.levels[0].matrix.negate()`, the
+    caller's own A when the report is `candidate_exponents(A.negate())`.
+    Membership is exact; a candidate matches the limit within 1e-2 (sup norm).
     """
-    if A.n != report.b_hat.n or pinf.point.dim != A.n:
+    A = report.levels[0].matrix.negate()
+    if pinf.point.dim != A.n:
         raise ValueError("dimension mismatch")
     gens = spectral_data(A).generators
     out = []
@@ -242,7 +238,7 @@ def compare_prediction(
             CandidateVerdict(
                 candidate=cand,
                 in_eigenspace=member,
-                matches_pinf=diff <= tol,
+                matches_pinf=diff <= _MATCH_TOL,
             )
         )
     return out

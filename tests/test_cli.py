@@ -88,6 +88,33 @@ def test_bad_solver_options_are_refused_before_solving(monkeypatch, capsys):
         assert err.startswith(f"error: {message}"), argv
 
 
+def test_report_over_its_own_dataset_is_refused_before_solving(tmp_path, monkeypatch, capsys):
+    import tropasym.cli
+    import tropasym.conjectures
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a report that would overwrite the dataset must be refused first")
+
+    monkeypatch.setattr(tropasym.cli, "normalized_trajectory", no_solve)
+    monkeypatch.setattr(tropasym.conjectures, "normalized_trajectory", no_solve)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+    for paths in (
+        ["--out", "r.jsonl", "--dataset", "r.jsonl"],
+        ["--out", str(tmp_path / "r.jsonl"), "--dataset", "r.jsonl"],
+        ["--out", "link/r.jsonl", "--dataset", "r.jsonl"],
+        ["--out", "g_samples.jsonl"],  # the default dataset
+    ):
+        code, out, err = run(
+            ["conjectures", "--seed", "1", "--chains", "1", "--families", "0",
+             "--doublings", "1", *paths],
+            capsys,
+        )
+        assert (code, out) == (1, ""), paths
+        assert err.startswith("error: --out and --dataset are one file"), paths
+    assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
+
 def test_failed_report_write_removes_the_dataset(tmp_path, capsys):
     # the report path is an existing directory, so only the write itself fails
     (tmp_path / "r.json").mkdir()
@@ -539,8 +566,9 @@ class TestConjecturesCommand:
         def no_draw(*args, **kwargs):
             raise AssertionError("a bad count must be rejected before the first draw")
 
-        # a campaign that tests nothing, or a family without perturbations,
-        # is an input error that writes no report and no dataset
+        # a campaign that tests nothing, or a family without perturbations or
+        # with more than its base has, is an input error that writes no
+        # report and no dataset
         monkeypatch.setattr(tropasym.cli.conj, "random_matrix", no_draw)
         monkeypatch.setattr(tropasym.cli.conj, "_draw_nums", no_draw)
         monkeypatch.chdir(tmp_path)  # default dataset file would land here
@@ -549,6 +577,8 @@ class TestConjecturesCommand:
             ["--chains", "-2", "--families", "0"],
             ["--chains", "1", "--families", "-1"],
             ["--chains", "1", "--families", "1", "--perturbations", "0"],
+            # a 3 x 3 base has 48 single-entry candidates, so 49 can never be found
+            ["--chains", "1", "--families", "1", "--perturbations", "49"],
         ):
             code, out, err = run(["conjectures", "--seed", "3", *counts], capsys)
             assert (code, out) == (1, ""), counts

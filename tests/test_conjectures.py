@@ -113,7 +113,7 @@ class TestTranslationChain:
 
 class TestConjecture1:
     def test_figure7_holds(self):
-        v = conjecture1_test(FIG7, tol=1e-2, schedule=SCHEDULE)
+        v = conjecture1_test(FIG7, SCHEDULE)
         assert v.holds
         assert len(v.estimates) == 1
         assert list(v.estimates[0].point.coords) == v.witness["pinf"]
@@ -121,11 +121,11 @@ class TestConjecture1:
     def test_single_class_holds(self):
         A = TropicalMatrix.from_rows([[0, -3, -2], [1, 0, -1], [2, 1, 0]])
         assert len(spectral_data(A).generators) == 1
-        assert conjecture1_test(A, tol=1e-2, schedule=SCHEDULE).holds
+        assert conjecture1_test(A, SCHEDULE).holds
 
     def test_non_chain_rejected(self):
         with pytest.raises(ValueError):
-            conjecture1_test(FIG4, tol=1e-2, schedule=SCHEDULE)
+            conjecture1_test(FIG4, SCHEDULE)
 
     def test_estimate_off_the_eigenspace_is_raised(self, monkeypatch):
         # the safety net: a measured limit far from every generator means the
@@ -136,11 +136,11 @@ class TestConjecture1:
 
         monkeypatch.setattr(conjectures, "estimate_p_infinity", off)
         with pytest.raises(EstimateError, match="off the eigenspace"):
-            conjecture1_test(FIG7, tol=1e-2, schedule=SCHEDULE)
+            conjecture1_test(FIG7, SCHEDULE)
 
     def test_reproducible(self):
-        v1 = conjecture1_test(FIG7, tol=1e-2, schedule=SCHEDULE)
-        v2 = conjecture1_test(FIG7, tol=1e-2, schedule=SCHEDULE)
+        v1 = conjecture1_test(FIG7, SCHEDULE)
+        v2 = conjecture1_test(FIG7, SCHEDULE)
         assert v1 == v2
 
 
@@ -298,7 +298,7 @@ class TestPerturbations:
 
 class TestConjecture2:
     def test_figure_pair_holds(self):
-        v = conjecture2_test(FIG8, [FIG9], tol=1e-2, schedule=SCHEDULE)
+        v = conjecture2_test(FIG8, [FIG9], SCHEDULE)
         assert v.holds
         assert v.witness["max_pairwise_distance"] <= 1e-2
         # one estimate per family member, A first, matching the witness
@@ -310,11 +310,12 @@ class TestConjecture2:
     def test_empty_family_is_rejected(self):
         # a family of A alone compares nothing, so it has no verdict
         with pytest.raises(ValueError, match="perturbed"):
-            conjecture2_test(FIG8, [], tol=1e-2, schedule=SCHEDULE)
+            conjecture2_test(FIG8, [], SCHEDULE)
 
     def test_self_family_trivially_holds(self):
-        v = conjecture2_test(FIG7, [FIG7], tol=1e-12, schedule=SCHEDULE)
+        v = conjecture2_test(FIG7, [FIG7], SCHEDULE)
         assert v.holds
+        assert v.witness["max_pairwise_distance"] == 0.0
 
     def test_precondition_rejected(self):
         bigger = TropicalMatrix.from_rows(
@@ -322,7 +323,7 @@ class TestConjecture2:
         )
         for other in (FIG4, bigger):
             with pytest.raises(ValueError):
-                conjecture2_test(FIG7, [other], tol=1e-2, schedule=SCHEDULE)
+                conjecture2_test(FIG7, [other], SCHEDULE)
 
     def test_small_random_campaign(self):
         rng = random.Random(2024)
@@ -333,7 +334,7 @@ class TestConjecture2:
             if len(perts) < 2:
                 continue
             done += 1
-            assert conjecture2_test(A, perts, tol=1e-2, schedule=SCHEDULE).holds
+            assert conjecture2_test(A, perts, SCHEDULE).holds
 
 
 class TestRandomMatrix:

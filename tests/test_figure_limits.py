@@ -3,10 +3,12 @@
 The limits were derived from a 150-digit reference (Richardson extrapolation
 at k=256 and k=512 agreeing to 1e-6); figure-7's is its caption value.  Each
 must be an exact member of its case's eigenspace, and the double-precision
-engine's estimate must land within LIMIT_BOUND of it.
+engine's estimate must land within LIMIT_BOUND of it.  README's quick start
+works figure 7 and must state what it computes.
 """
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +69,18 @@ def test_figure_trajectories_iteration_budget(figure_trajectories):
         assert not traj.failures
         total += sum(s.iterations for s in traj.samples)
     assert total <= FIGURE_ITERATION_BUDGET
+
+
+def test_readme_quick_start():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names: dict = {}
+    exec(block, names)
+    sd, est, verdicts = names["sd"], names["est"], names["verdicts"]
+    gens = (normalize_projective((0, -5, -6)), normalize_projective((0, -2, -3)))
+    assert (sd.lam, sd.classes, sd.generators) == (0, ((0,), (1, 2)), gens)
+    limit = EXACT_LIMITS["figure-7"]
+    assert max(abs(float(x) - y) for x, y in zip(limit, est.point.coords)) <= LIMIT_BOUND
+    assert [v.candidate.tp_point for v in verdicts] == list(gens)
+    assert [(v.in_eigenspace, v.matches_pinf) for v in verdicts] == [(True, False), (True, True)]

@@ -225,18 +225,24 @@ def cex_estimate():
 
 class TestComparePrediction:
 
+    @staticmethod
+    def _hand_built(cand):
+        """A report on CEX with the one candidate `cand`."""
+        B = CEX.negate()
+        return SchurReport(levels=tuple(schur_sequence(B)), b_hat=B, candidates=(cand,))
+
     def test_paper_candidate_membership_without_match(self, cex_estimate):
         cand = Candidate(v=(F(0), F(0), F(1)), tp_point=pp(0, 0, -1))
-        report = SchurReport(levels=(), b_hat=CEX.negate(), candidates=(cand,))
-        verdicts = compare_prediction(CEX, report, cex_estimate, tol=1e-2)
+        report = self._hand_built(cand)
+        verdicts = compare_prediction(report, cex_estimate)
         assert verdicts[0].in_eigenspace is True
         assert verdicts[0].matches_pinf is False
 
     def test_candidate_equal_to_estimate(self, cex_estimate):
         coords = tuple(F(repr(round(x, 6))) for x in cex_estimate.point.coords)
         cand = Candidate(v=tuple(-x for x in coords), tp_point=normalize_projective(coords))
-        report = SchurReport(levels=(), b_hat=CEX.negate(), candidates=(cand,))
-        v = compare_prediction(CEX, report, cex_estimate, tol=1e-2)[0]
+        report = self._hand_built(cand)
+        v = compare_prediction(report, cex_estimate)[0]
         assert v.matches_pinf is True
 
     def test_single_class_pipeline_hits_the_limit(self):
@@ -246,7 +252,7 @@ class TestComparePrediction:
         report = candidate_exponents(A.negate())
         traj = normalized_trajectory(A.to_floats(), geometric_schedule())
         est = estimate_p_infinity(traj)
-        verdicts = compare_prediction(A, report, est, tol=1e-2)
+        verdicts = compare_prediction(report, est)
         hits = [v for v in verdicts if v.in_eigenspace and v.matches_pinf]
         assert len(hits) >= 1
         assert hits[0].candidate.tp_point == sd.generators[0]
@@ -254,17 +260,14 @@ class TestComparePrediction:
 
     def test_dimension_mismatch_rejected(self, cex_estimate):
         report = candidate_exponents(CEX.negate())
-        A2 = TropicalMatrix.from_rows([[0, -1], [-1, 0]])
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            compare_prediction(A2, report, cex_estimate, tol=1e-2)
         pinf2 = PinfEstimate(float_point([0.0, 1.0]), 0.0, cex_estimate.k_max_used)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            compare_prediction(CEX, report, pinf2, tol=1e-2)
+            compare_prediction(report, pinf2)
 
 
 def test_report_json_shape(cex_estimate):
     report = candidate_exponents(CEX.negate())
-    verdicts = compare_prediction(CEX, report, cex_estimate, tol=1e-2)
+    verdicts = compare_prediction(report, cex_estimate)
     obj = json.loads(report_to_json(report, verdicts))
     assert set(obj) == {"levels", "candidates"}
     assert obj["levels"][0]["eigenvalue"] == "0"
